@@ -30,6 +30,7 @@ type t = {
   mutable nohz_full_factor : float;
   mutable mpi_init_base : float;
   mutable mpi_init_per_round : float;
+  mutable psm_tid_cache : bool;
   mutable pico_init : float;
   mutable fault_sdma_halt_interval : float;
   mutable fault_sdma_recovery : float;
@@ -116,6 +117,9 @@ let defaults () = {
      a per-log2(world) wire component, charged in MPI_Init on every OS. *)
   mpi_init_base = 1.5e6;
   mpi_init_per_round = 2.0e4;
+  (* PSM's receiver-side TID registration cache, disabled in the PSM of
+     the paper's era; the ablation turns it on. *)
+  psm_tid_cache = false;
   (* One-time PicoDriver initialisation: DWARF mapping setup, kernel VA
      unification bookkeeping (paper: visible in MPI_Init). *)
   pico_init = 5.0e6;
@@ -239,6 +243,7 @@ let assign dst src =
   dst.nohz_full_factor <- src.nohz_full_factor;
   dst.mpi_init_base <- src.mpi_init_base;
   dst.mpi_init_per_round <- src.mpi_init_per_round;
+  dst.psm_tid_cache <- src.psm_tid_cache;
   dst.pico_init <- src.pico_init;
   dst.fault_sdma_halt_interval <- src.fault_sdma_halt_interval;
   dst.fault_sdma_recovery <- src.fault_sdma_recovery;

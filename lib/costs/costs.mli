@@ -50,6 +50,13 @@ type t = {
   (* --- MPI --- *)
   mutable mpi_init_base : float;       (** library bootstrap per rank, ns *)
   mutable mpi_init_per_round : float;  (** + this per log2(world) PMI round *)
+  mutable psm_tid_cache : bool;
+  (** receiver-side TID registration cache: reuse registrations of
+      identical (address, length) windows and skip TID_FREE.  Off by
+      default — the PSM of the paper's era disabled it (invalidation
+      hazards), which is why registration lands in the offloaded fast
+      path; on is the ablation showing how much of the McKernel penalty
+      is registration traffic *)
   (* --- PicoDriver --- *)
   mutable pico_init : float;           (** one-time LWK driver mapping init *)
   (* --- fault injection (all rates zero by default) --- *)

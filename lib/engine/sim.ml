@@ -1,7 +1,7 @@
 exception Not_in_process
 
 (* Hot-path events are resumptions of processes blocked in [delay]; those
-   go through a [cell] taken from a per-simulator free list, so the
+   go through a [cell] taken from a per-shard free list, so the
    steady-state event loop allocates no closure per event.  [Call] covers
    everything else (spawn, [at]/[after] callbacks, suspend wake-ups). *)
 type event =
@@ -42,23 +42,25 @@ type ledger = {
   mutable ld_total : float;
 }
 
-(* Conservative event sharding (off by default, see [shard_init]): the
-   event population is partitioned into per-shard heaps with per-shard
-   sequence counters, clocks and resume-cell pools.  Shards run in
-   epoch-barrier rounds of [lookahead] simulated nanoseconds; an event
-   scheduled into another shard is buffered on the source shard and
-   merged at the next barrier in content order — sorted by
-   [(key, src_shard, src_order)], which no shard execution schedule can
-   perturb — so a sharded run is deterministic by construction and
-   byte-identical to the same run with sharding off. *)
+(* Event shards.  A simulator is a set of shards, each with its own
+   heap, sequence counter, clock and resume-cell pool; a fresh one has a
+   single shard, which the merged loop of [run] drives exactly like a
+   classic one-heap event loop.  [shard_init] partitions the population
+   into per-node shards for conservative sharding: after [shard_engage]
+   the shards run in epoch-barrier rounds of [lookahead] simulated
+   nanoseconds, and an event scheduled into another shard is buffered on
+   the source shard and merged at the next barrier in content order —
+   sorted by [(key, src_shard, src_order)], which no shard execution
+   schedule can perturb — so a sharded run is deterministic by
+   construction and byte-identical to the same run on one shard. *)
 type shard = {
   sh_id : int;
   sh_queue : event Heap.t;
   mutable sh_seq : int;
-  mutable sh_now : float;
+  mutable sh_now : float; (* shard clock, kept in epoch rounds only *)
   mutable sh_processed : int;
   mutable sh_peak : int;
-  mutable sh_pool : cell array;
+  mutable sh_pool : cell array; (* free list of resume cells, as a stack *)
   mutable sh_pool_n : int;
   mutable sh_reused : int;
   (* outgoing cross-shard events of the current epoch, reverse order *)
@@ -76,18 +78,9 @@ and pending = {
 
 type t = {
   mutable now : float;
-  queue : event Heap.t;
-  mutable seq : int;
-  mutable processed : int;
   mutable current : string option;
   mutable running : bool; (* a process frame is on the stack *)
-  (* free list of resume cells, as a stack *)
-  mutable pool : cell array;
-  mutable pool_n : int;
-  (* observability *)
-  mutable peak_heap : int;
   mutable elided : int;
-  mutable reused : int;
   (* span tracing (empty unless Span.set_on true) *)
   mutable spans : span list; (* reverse begin order *)
   mutable dropped_spans : int; (* still-open spans discarded by take_spans *)
@@ -95,13 +88,13 @@ type t = {
   mutable ledgers : ledger list; (* closed ledgers, reverse close order *)
   mutable steps : (string * float * int) list; (* series, time, +/-delta *)
   mutable label : string;
-  (* sharding ([shards] empty = off, the default) *)
   mutable shards : shard array;
-  mutable exec : shard option; (* shard whose event is executing *)
-  mutable ambient : shard option; (* build-time binding, see [with_shard] *)
+  mutable cur : shard; (* shard whose event is executing, inside [run] *)
+  mutable ambient : shard; (* target outside [run], see [with_shard] *)
+  mutable in_run : bool;
   mutable engaged : bool; (* epoch-barrier mode active *)
   mutable engage_req : bool;
-  mutable lookahead : float;
+  mutable lookahead : float; (* 0 until [shard_init] *)
   (* optional per-(src,dst) cross-shard latency floor, tighter than or
      equal to [lookahead]; [lookahead] still sets the epoch length *)
   mutable pair_bound : (int -> int -> float) option;
@@ -116,30 +109,27 @@ type _ Effect.t +=
   | Until : t * float -> unit Effect.t
   | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
 
-(* Steady-state fast-forward (test-visible switch, like [Hfi.batching]):
-   when true, model layers that own an elide-events-never-costs closed
-   form (noise clocks, SDMA packet trains) may engage it beyond their
-   conservative default gates.  Semantics must stay byte-identical —
-   test/test_scale.ml checks on-vs-off equivalence.  Never mutated
-   inside a sweep. *)
-let fast_forward = ref false
+let make_shard sh_id =
+  { sh_id; sh_queue = Heap.create (); sh_seq = 0; sh_now = 0.;
+    sh_processed = 0; sh_peak = 0; sh_pool = [||]; sh_pool_n = 0;
+    sh_reused = 0; sh_out = []; sh_order = 0 }
 
 let create () =
-  { now = 0.; queue = Heap.create (); seq = 0; processed = 0;
-    current = None; running = false; pool = [||]; pool_n = 0;
-    peak_heap = 0; elided = 0; reused = 0; spans = []; dropped_spans = 0;
-    ledgers = []; steps = []; label = "";
-    shards = [||]; exec = None; ambient = None; engaged = false;
-    engage_req = false; lookahead = 0.; pair_bound = None; epoch_end = 0.;
-    barrier_rounds = 0; epochs_elided = 0; xshard = 0 }
+  let sh = make_shard 0 in
+  { now = 0.; current = None; running = false; elided = 0; spans = [];
+    dropped_spans = 0; ledgers = []; steps = []; label = "";
+    shards = [| sh |]; cur = sh; ambient = sh; in_run = false;
+    engaged = false; engage_req = false; lookahead = 0.; pair_bound = None;
+    epoch_end = 0.; barrier_rounds = 0; epochs_elided = 0; xshard = 0 }
 
 let now t = t.now
 
-let sharded t = Array.length t.shards > 0
+let sharded t = t.lookahead > 0.
 
 let shard_init t ~shards ?pair_bound ~lookahead () =
   if sharded t then invalid_arg "Sim.shard_init: already sharded";
-  if t.seq > 0 || not (Heap.is_empty t.queue) then
+  let sh0 = t.shards.(0) in
+  if sh0.sh_seq > 0 || not (Heap.is_empty sh0.sh_queue) then
     invalid_arg "Sim.shard_init: events already scheduled";
   if shards <= 0 then invalid_arg "Sim.shard_init: shards must be > 0";
   if not (Float.is_finite lookahead) || lookahead <= 0. then
@@ -163,11 +153,9 @@ let shard_init t ~shards ?pair_bound ~lookahead () =
      done);
   t.lookahead <- lookahead;
   t.pair_bound <- pair_bound;
-  t.shards <-
-    Array.init shards (fun sh_id ->
-        { sh_id; sh_queue = Heap.create (); sh_seq = 0; sh_now = 0.;
-          sh_processed = 0; sh_peak = 0; sh_pool = [||]; sh_pool_n = 0;
-          sh_reused = 0; sh_out = []; sh_order = 0 })
+  t.shards <- Array.init shards make_shard;
+  t.cur <- t.shards.(0);
+  t.ambient <- t.shards.(0)
 
 let shard_engage t = if sharded t then t.engage_req <- true
 
@@ -175,7 +163,7 @@ let with_shard t i f =
   if not (sharded t) then f ()
   else begin
     let saved = t.ambient in
-    t.ambient <- Some t.shards.(i);
+    t.ambient <- t.shards.(i);
     Fun.protect ~finally:(fun () -> t.ambient <- saved) f
   end
 
@@ -183,60 +171,42 @@ let make_cell () =
   let rec c = { cont = None; cname = None; boxed = Resume c } in
   c
 
+(* Resume cells come from and return to the executing shard's pool. *)
 let acquire_cell t =
-  match t.exec with
-  | None ->
-    if t.pool_n = 0 then make_cell ()
-    else begin
-      t.pool_n <- t.pool_n - 1;
-      t.reused <- t.reused + 1;
-      t.pool.(t.pool_n)
-    end
-  | Some sh ->
-    if sh.sh_pool_n = 0 then make_cell ()
-    else begin
-      sh.sh_pool_n <- sh.sh_pool_n - 1;
-      sh.sh_reused <- sh.sh_reused + 1;
-      sh.sh_pool.(sh.sh_pool_n)
-    end
+  let sh = t.cur in
+  if sh.sh_pool_n = 0 then make_cell ()
+  else begin
+    sh.sh_pool_n <- sh.sh_pool_n - 1;
+    sh.sh_reused <- sh.sh_reused + 1;
+    sh.sh_pool.(sh.sh_pool_n)
+  end
 
 let release_cell t c =
-  match t.exec with
-  | None ->
-    let cap = Array.length t.pool in
-    if t.pool_n = cap then begin
-      let ncap = if cap = 0 then 32 else cap * 2 in
-      let np = Array.make ncap c in
-      Array.blit t.pool 0 np 0 cap;
-      t.pool <- np
-    end;
-    t.pool.(t.pool_n) <- c;
-    t.pool_n <- t.pool_n + 1
-  | Some sh ->
-    let cap = Array.length sh.sh_pool in
-    if sh.sh_pool_n = cap then begin
-      let ncap = if cap = 0 then 32 else cap * 2 in
-      let np = Array.make ncap c in
-      Array.blit sh.sh_pool 0 np 0 cap;
-      sh.sh_pool <- np
-    end;
-    sh.sh_pool.(sh.sh_pool_n) <- c;
-    sh.sh_pool_n <- sh.sh_pool_n + 1
+  let sh = t.cur in
+  let cap = Array.length sh.sh_pool in
+  if sh.sh_pool_n = cap then begin
+    let ncap = if cap = 0 then 32 else cap * 2 in
+    let np = Array.make ncap c in
+    Array.blit sh.sh_pool 0 np 0 cap;
+    sh.sh_pool <- np
+  end;
+  sh.sh_pool.(sh.sh_pool_n) <- c;
+  sh.sh_pool_n <- sh.sh_pool_n + 1
 
 (* Tail-of-instant band: an event scheduled with [~tail:true] sorts
    after every normally-scheduled event at the same instant in the same
    heap, no matter when it was pushed — even after events pushed later,
    which take fresh (sub-band) sequence numbers.  Sequence counters
    never come near the band (2^40 events per heap), and tail events
-   keep push order among themselves.  Both engines thus agree that a
-   tail event runs once its instant is otherwise exhausted, which is
-   what makes the fabric's same-instant arrival batches (Fabric,
-   [~ordered:true]) independent of the heap-insertion schedule. *)
+   keep push order among themselves.  Every shard partitioning thus
+   agrees that a tail event runs once its instant is otherwise
+   exhausted, which is what makes the fabric's same-instant arrival
+   batches (Fabric, [~ordered:true]) independent of the heap-insertion
+   schedule. *)
 let tail_band = 1 lsl 40
 
-(* Push into one shard's heap, clamping to the executing clock exactly
-   like the unsharded path. *)
-let push_shard ?(tail = false) t sh time ev =
+(* Push into one shard's heap, clamping to the executing clock. *)
+let push_shard t sh ~tail time ev =
   let time = if time < t.now then t.now else time in
   let seq = if tail then sh.sh_seq lor tail_band else sh.sh_seq in
   Heap.push sh.sh_queue ~key:time ~seq ev;
@@ -248,9 +218,9 @@ let push_shard ?(tail = false) t sh time ev =
    buffered on the source shard for the barrier merge; the lookahead
    contract (every cross-shard latency >= [lookahead]) guarantees it
    cannot be due before the next barrier. *)
-let schedule_to ?(tail = false) t sh time ev =
-  match t.exec with
-  | Some src when t.engaged && src != sh ->
+let schedule_to t sh ~tail time ev =
+  let src = t.cur in
+  if t.engaged && t.in_run && src != sh then begin
     if tail then
       invalid_arg "Sim: tail event must target the executing shard";
     if time < t.epoch_end then
@@ -270,42 +240,30 @@ let schedule_to ?(tail = false) t sh time ev =
         p_dst = sh.sh_id; p_ev = ev }
       :: src.sh_out;
     src.sh_order <- src.sh_order + 1
-  | _ -> push_shard ~tail t sh time ev
+  end
+  else push_shard t sh ~tail time ev
 
 (* Default target for an event with no explicit shard: the executing
-   shard, else the build-time ambient binding, else shard 0. *)
-let default_shard t =
-  match t.exec with
-  | Some sh -> sh
-  | None -> (match t.ambient with Some sh -> sh | None -> t.shards.(0))
+   shard inside [run], else the build-time ambient binding. *)
+let default_shard t = if t.in_run then t.cur else t.ambient
 
-let schedule_event ?(tail = false) t time ev =
-  if Array.length t.shards = 0 then begin
-    let time = if time < t.now then t.now else time in
-    let seq = if tail then t.seq lor tail_band else t.seq in
-    Heap.push t.queue ~key:time ~seq ev;
-    t.seq <- t.seq + 1;
-    let d = Heap.length t.queue in
-    if d > t.peak_heap then t.peak_heap <- d
-  end
-  else schedule_to ~tail t (default_shard t) time ev
-
-let schedule t time f = schedule_event t time (Call f)
+let target t shard =
+  match shard with
+  | Some i when sharded t -> t.shards.(i)
+  | _ -> default_shard t
 
 let at t ?shard ?(tail = false) time f =
-  match shard with
-  | Some i when Array.length t.shards > 0 ->
-    schedule_to ~tail t t.shards.(i) time (Call f)
-  | _ -> schedule_event ~tail t time (Call f)
+  schedule_to t (target t shard) ~tail time (Call f)
 
-let after t dt f = schedule t (t.now +. dt) f
+let after t dt f = at t (t.now +. dt) f
 
 let in_process t = t.running
 
 let current_name t = t.current
 
 (* Run [f] as a process body: install the effect handler that turns Delay,
-   Until and Suspend into event-queue operations. *)
+   Until and Suspend into event-queue operations.  Process code only
+   runs inside [run], so [t.cur] is the process's shard. *)
 let handle_process t name f =
   let open Effect.Deep in
   let some_name = Some name in
@@ -327,7 +285,7 @@ let handle_process t name f =
                 let c = acquire_cell t in
                 c.cont <- Some k;
                 c.cname <- some_name;
-                schedule_event t (t.now +. dt) c.boxed;
+                push_shard t t.cur ~tail:false (t.now +. dt) c.boxed;
                 t.running <- false;
                 t.current <- None)
           | Until (t', time) when t' == t ->
@@ -336,7 +294,7 @@ let handle_process t name f =
                 let c = acquire_cell t in
                 c.cont <- Some k;
                 c.cname <- some_name;
-                schedule_event t time c.boxed;
+                push_shard t t.cur ~tail:false time c.boxed;
                 t.running <- false;
                 t.current <- None)
           | Suspend (t', register) when t' == t ->
@@ -345,7 +303,7 @@ let handle_process t name f =
                 (* A process's continuation belongs to its home shard:
                    resume from wherever lands the wake-up event where the
                    process suspended, never where the resumer runs. *)
-                let home = t.exec in
+                let home = t.cur in
                 let resumed = ref false in
                 let resume () =
                   if !resumed then
@@ -356,9 +314,7 @@ let handle_process t name f =
                     t.current <- some_name;
                     continue k ()
                   in
-                  match home with
-                  | None -> schedule t t.now wake
-                  | Some sh -> schedule_to t sh t.now (Call wake)
+                  schedule_to t home ~tail:false t.now (Call wake)
                 in
                 register resume;
                 t.running <- false;
@@ -367,13 +323,8 @@ let handle_process t name f =
     }
 
 let spawn t ?(name = "proc") ?shard f =
-  let ev = Call (fun () -> handle_process t name f) in
-  if Array.length t.shards = 0 then schedule_event t t.now ev
-  else
-    let sh =
-      match shard with Some i -> t.shards.(i) | None -> default_shard t
-    in
-    schedule_to t sh t.now ev
+  schedule_to t (target t shard) ~tail:false t.now
+    (Call (fun () -> handle_process t name f))
 
 let delay t dt =
   if not t.running then raise Not_in_process;
@@ -406,41 +357,19 @@ let exec_event t ev =
     t.current <- nm;
     Effect.Deep.continue k ()
 
-let run_unsharded ?until t =
-  let count = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    if Heap.is_empty t.queue then continue_ := false
-    else begin
-      let key = Heap.top_key t.queue in
-      match until with
-      | Some limit when key > limit ->
-        t.now <- limit;
-        continue_ := false
-      | _ ->
-        t.now <- key;
-        t.processed <- t.processed + 1;
-        incr count;
-        exec_event t (Heap.pop t.queue)
-    end
-  done;
-  !count
-
-(* Lowest-keyed shard, ties to the lowest shard id: the merged order the
-   prologue executes in.  Returns [(-1, infinity)] when all drained. *)
+(* Lowest-keyed non-empty shard, ties to the lowest shard id: the merged
+   order the prologue executes in.  [-1] when all are drained. *)
 let min_shard t =
-  let best = ref (-1) and bk = ref infinity in
-  Array.iter
-    (fun sh ->
-      if not (Heap.is_empty sh.sh_queue) then begin
-        let k = Heap.top_key sh.sh_queue in
-        if k < !bk then begin
-          bk := k;
-          best := sh.sh_id
-        end
-      end)
-    t.shards;
-  (!best, !bk)
+  let shards = t.shards in
+  let best = ref (-1) in
+  for i = 0 to Array.length shards - 1 do
+    let q = shards.(i).sh_queue in
+    if
+      (not (Heap.is_empty q))
+      && (!best < 0 || Heap.top_key q < Heap.top_key shards.(!best).sh_queue)
+    then best := i
+  done;
+  !best
 
 (* Barrier: merge every shard's buffered cross-shard events in content
    order — (key, source shard, per-source order) is a total order no
@@ -471,39 +400,34 @@ let merge_pending t =
     in
     List.iter
       (fun p ->
-        let dst = t.shards.(p.p_dst) in
-        Heap.push dst.sh_queue ~key:p.p_key ~seq:dst.sh_seq p.p_ev;
-        dst.sh_seq <- dst.sh_seq + 1;
-        let d = Heap.length dst.sh_queue in
-        if d > dst.sh_peak then dst.sh_peak <- d;
+        push_shard t t.shards.(p.p_dst) ~tail:false p.p_key p.p_ev;
         t.xshard <- t.xshard + 1)
       sorted
 
-let run_sharded ?until t =
+let run_loop ?until t =
   let count = ref 0 in
   let continue_ = ref true in
-  (* Merged prologue: one global time-ordered loop over all shard heaps.
-     Zero-latency cross-shard couplings (the init syncpoint) are legal
-     here; [shard_engage] switches to epoch rounds once initialisation
-     has completed and only lookahead-bounded couplings remain. *)
+  (* Merged prologue: one global time-ordered loop over all shard heaps
+     — the whole run on one shard.  Zero-latency cross-shard couplings
+     (the init syncpoint) are legal here; [shard_engage] switches to
+     epoch rounds once initialisation has completed and only
+     lookahead-bounded couplings remain. *)
   while !continue_ && not (t.engaged || t.engage_req) do
-    let i, key = min_shard t in
+    let i = min_shard t in
     if i < 0 then continue_ := false
     else begin
+      let sh = t.shards.(i) in
+      let key = Heap.top_key sh.sh_queue in
       match until with
       | Some limit when key > limit ->
         t.now <- limit;
         continue_ := false
       | _ ->
-        let sh = t.shards.(i) in
         t.now <- key;
-        sh.sh_now <- key;
-        t.processed <- t.processed + 1;
         sh.sh_processed <- sh.sh_processed + 1;
         incr count;
-        t.exec <- Some sh;
-        exec_event t (Heap.pop sh.sh_queue);
-        t.exec <- None
+        if t.cur != sh then t.cur <- sh;
+        exec_event t (Heap.pop sh.sh_queue)
     end
   done;
   if !continue_ && t.engage_req then begin
@@ -515,34 +439,34 @@ let run_sharded ?until t =
     while !continue_ do
       let eend = !epoch_base +. t.lookahead in
       t.epoch_end <- eend;
-      Array.iter
-        (fun sh ->
-          t.exec <- Some sh;
-          t.now <- sh.sh_now;
-          let go = ref true in
-          while !go do
-            if Heap.is_empty sh.sh_queue then go := false
+      for s = 0 to Array.length t.shards - 1 do
+        let sh = t.shards.(s) in
+        t.cur <- sh;
+        t.now <- sh.sh_now;
+        let go = ref true in
+        while !go do
+          if Heap.is_empty sh.sh_queue then go := false
+          else begin
+            let k = Heap.top_key sh.sh_queue in
+            if
+              k >= eend || (match until with Some u -> k > u | None -> false)
+            then go := false
             else begin
-              let k = Heap.top_key sh.sh_queue in
-              if
-                k >= eend
-                || (match until with Some u -> k > u | None -> false)
-              then go := false
-              else begin
-                t.now <- k;
-                sh.sh_now <- k;
-                t.processed <- t.processed + 1;
-                sh.sh_processed <- sh.sh_processed + 1;
-                incr count;
-                exec_event t (Heap.pop sh.sh_queue)
-              end
+              t.now <- k;
+              sh.sh_now <- k;
+              sh.sh_processed <- sh.sh_processed + 1;
+              incr count;
+              exec_event t (Heap.pop sh.sh_queue)
             end
-          done)
-        t.shards;
-      t.exec <- None;
+          end
+        done
+      done;
       t.barrier_rounds <- t.barrier_rounds + 1;
       merge_pending t;
-      let _, mk = min_shard t in
+      let i = min_shard t in
+      let mk =
+        if i < 0 then infinity else Heap.top_key t.shards.(i).sh_queue
+      in
       match until with
       | Some limit when mk > limit ->
         t.now <- limit;
@@ -566,32 +490,32 @@ let run_sharded ?until t =
   !count
 
 let run ?until t =
-  if Array.length t.shards = 0 then run_unsharded ?until t
-  else run_sharded ?until t
+  t.in_run <- true;
+  match run_loop ?until t with
+  | n -> t.in_run <- false; n
+  | exception e -> t.in_run <- false; raise e
 
-let events_processed t = t.processed
+let events_processed t =
+  Array.fold_left (fun a sh -> a + sh.sh_processed) 0 t.shards
 
 let note_elided t n = if n > 0 then t.elided <- t.elided + n
 
 let events_elided t = t.elided
 
 let peak_heap_depth t =
-  Array.fold_left (fun a sh -> max a sh.sh_peak) t.peak_heap t.shards
+  Array.fold_left (fun a sh -> max a sh.sh_peak) 0 t.shards
 
-let cells_reused t =
-  Array.fold_left (fun a sh -> a + sh.sh_reused) t.reused t.shards
+let cells_reused t = Array.fold_left (fun a sh -> a + sh.sh_reused) 0 t.shards
 
-let shard_count t = Array.length t.shards
+let shard_count t = if sharded t then Array.length t.shards else 0
 
 (* Shard id an event issued right now would land on by default; 0 when
    sharding is off.  Lets per-shard caches (e.g. Route.Memo tables) pick
    their slot without threading ids through every call chain. *)
-let exec_shard t =
-  match t.exec with
-  | Some sh -> sh.sh_id
-  | None -> (match t.ambient with Some sh -> sh.sh_id | None -> 0)
+let exec_shard t = (default_shard t).sh_id
 
-let shard_events t = Array.map (fun sh -> sh.sh_processed) t.shards
+let shard_events t =
+  if sharded t then Array.map (fun sh -> sh.sh_processed) t.shards else [||]
 
 let barrier_rounds t = t.barrier_rounds
 

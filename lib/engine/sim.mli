@@ -36,11 +36,11 @@ val spawn : t -> ?name:string -> ?shard:int -> (unit -> unit) -> unit
 
     [~tail:true] places the event in the tail-of-instant band: it runs
     after {e every} normally-scheduled event at [time] in the same
-    shard (or queue), including ones pushed after it, while tail events
-    keep push order among themselves.  That position is independent of
-    heap-insertion schedule, hence identical between the sharded and
-    unsharded engines — the fabric's ordered same-instant arrival
-    batches flush from it.  In epoch mode a tail event must stay on the
+    shard, including ones pushed after it, while tail events keep push
+    order among themselves.  That position is independent of
+    heap-insertion schedule, hence identical however the events are
+    sharded — the fabric's ordered same-instant arrival batches flush
+    from it.  In epoch mode a tail event must stay on the
     executing shard (it fires at the current instant, below the
     lookahead horizon); targeting another shard raises
     [Invalid_argument]. *)
@@ -90,7 +90,7 @@ val note_elided : t -> int -> unit
 (** Events avoided by batching shortcuts, as reported via {!note_elided}. *)
 val events_elided : t -> int
 
-(** High-water mark of the event queue depth. *)
+(** High-water mark of the event queue depth (the largest over shards). *)
 val peak_heap_depth : t -> int
 
 (** Number of process resumptions served from the free list of resume
@@ -99,13 +99,12 @@ val cells_reused : t -> int
 
 (** {2 Conservative event sharding}
 
-    Off by default: a fresh simulator runs the classic single-heap loop
-    and is byte-identical to every release before sharding existed.
-    [shard_init] partitions the event population into per-node shards,
-    each with its own heap, sequence counter, clock and resume-cell
-    pool.  Until {!shard_engage} the shards execute in one merged
-    time-ordered {e prologue} (zero-latency cross-shard couplings such
-    as an init barrier are legal there).  After engagement the shards
+    A fresh simulator is the one-shard case: a single heap that {!run}
+    drains in time order.  [shard_init] partitions the event population
+    into per-node shards, each with its own heap, sequence counter, clock
+    and resume-cell pool.  Until {!shard_engage} the shards execute in
+    one merged time-ordered {e prologue} (zero-latency cross-shard
+    couplings such as an init barrier are legal there).  After engagement the shards
     run in epoch-barrier rounds of [lookahead] simulated nanoseconds:
     within a round each shard consumes its events with key strictly
     below the epoch horizon; events scheduled into {e another} shard are
@@ -170,15 +169,6 @@ val epochs_elided : t -> int
 
 (** Cross-shard events merged at barriers. *)
 val xshard_events : t -> int
-
-(** {2 Steady-state fast-forward}
-
-    Test-visible switch (like [Hfi.batching], default [false]): when on,
-    model layers that own an elide-events-never-costs closed form (noise
-    clocks, SDMA packet trains) may engage it beyond their conservative
-    default gates.  Results must stay byte-identical — set before a
-    sweep, never inside one. *)
-val fast_forward : bool ref
 
 (** {2 Span tracing storage}
 

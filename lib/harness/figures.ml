@@ -623,9 +623,11 @@ let ablations () =
            Printf.sprintf "%+.1f%%" ((lwk /. tuned -. 1.) *. 100.) ] ]);
   (* 3. TID registration cache. *)
   let mck_nocache = pingpong_once Cluster.Mckernel ~size in
-  Pico_psm.Config.tid_cache := true;
-  let mck_cache = pingpong_once Cluster.Mckernel ~size in
-  Pico_psm.Config.tid_cache := false;
+  let mck_cache =
+    Costs.with_patched
+      (fun c -> c.Costs.psm_tid_cache <- true)
+      (fun () -> pingpong_once Cluster.Mckernel ~size)
+  in
   Report.record ~figure:"ablations" ~metric:"tid_nocache_mbps" mck_nocache;
   Report.record ~figure:"ablations" ~metric:"tid_cache_mbps" mck_cache;
   buf_add b "\nAblation 3: TID registration cache (4 MB ping-pong, MB/s)\n";
@@ -1152,15 +1154,13 @@ let fabric ?jobs () =
     node_counts;
   Buffer.contents b
 
-(* --- At-scale sweeps: sharded engine + steady-state fast-forward ------------ *)
+(* --- At-scale sweeps: sharded engine -------------------------------------- *)
 
 (* The Figures 5-7-shaped sweep pushed to the node counts the paper's
-   cluster actually had, made tractable by the two test-visible engine
-   switches: per-node event sharding ([Cluster.sharding], with the
-   content-ordered barrier merge) and steady-state fast-forward
-   ([Sim.fast_forward], the closed forms that elide events but never
-   costs).  Part A proves on small worlds that neither switch changes
-   simulation results; Part B runs the big sweep with both on. *)
+   cluster actually had, run on the per-node event-sharded engine
+   ([Cluster.sharding], with the content-ordered barrier merge).  Part A
+   proves on small worlds that sharding does not change simulation
+   results; Part B runs the big sweep with it on. *)
 
 let at_scale_nodes s =
   if s = full then [ 256; 512; 1024 ]
@@ -1195,18 +1195,15 @@ let at_scale_fingerprint (cl : Cluster.t) (res : Experiment.result) =
     fs.Fabric.fs_replays fs.Fabric.fs_reroutes fs.Fabric.fs_egress_parks
     fs.Fabric.fs_retries fs.Fabric.fs_degraded
 
-(* Sequential on purpose: each probe mutates the process-wide switches,
-   which must never happen inside a pool (workers read them). *)
-let at_scale_probe ?topology ?fault ~shard ~ff kind =
-  Sim.fast_forward := ff;
+(* Sequential on purpose: each probe mutates a process-wide switch,
+   which must never happen inside a pool (workers read it). *)
+let at_scale_probe ?topology ?fault ~shard kind =
   (* Identity across shard-on/off only holds between runs sharing the
      same same-instant arrival tie-break (see [Cluster.ordered_arrivals]):
      sharded builds force the content order, so the unsharded comparator
      opts into it too. *)
   Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () ->
-      Sim.fast_forward := false;
-      Cluster.ordered_arrivals := false)
+  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
   @@ fun () ->
   let body () =
     let cl = Cluster.build kind ~n_nodes:4 ?topology ~sharding:shard () in
@@ -1235,29 +1232,21 @@ let at_scale ?(scale = quick) ?jobs () =
   Engine_obs.measure ~figure:"scale" @@ fun () ->
   let refused0 = Cluster.shard_refusals () in
   let b = Buffer.create 4096 in
-  buf_add b "At-scale collapse on the sharded + fast-forwarded engine\n\n";
-  (* Part A: per OS configuration, the (shard, fast-forward) switch
-     combinations must reproduce the baseline run bit for bit. *)
-  let oks =
-    List.map
+  buf_add b "At-scale collapse on the sharded engine\n\n";
+  (* Part A: per OS configuration, the sharded run must reproduce the
+     one-shard run bit for bit. *)
+  let shard_ok =
+    List.for_all
       (fun kind ->
-        let base = at_scale_probe ~shard:false ~ff:false kind in
-        ( at_scale_probe ~shard:true ~ff:false kind = base,
-          at_scale_probe ~shard:false ~ff:true kind = base,
-          at_scale_probe ~shard:true ~ff:true kind = base ))
+        let base = at_scale_probe ~shard:false kind in
+        at_scale_probe ~shard:true kind = base)
       os_kinds
   in
-  let shard_ok = List.for_all (fun (s, _, c) -> s && c) oks in
-  let ff_ok = List.for_all (fun (_, f, c) -> f && c) oks in
   Report.record ~figure:"scale" ~metric:"shard_equiv"
     (if shard_ok then 1. else 0.);
-  Report.record ~figure:"scale" ~metric:"ff_equiv" (if ff_ok then 1. else 0.);
   buf_add b
     (Printf.sprintf "sharding on/off: %s (3 OS configs)\n"
        (if shard_ok then "OK, byte-identical" else "MISMATCH"));
-  buf_add b
-    (Printf.sprintf "fast-forward on/off: %s (3 OS configs)\n"
-       (if ff_ok then "OK, byte-identical" else "MISMATCH"));
   (* Same law on a fat-tree: links have Shardmap owner shards, the hop
      walk is decomposed into per-shard events, and the fingerprint
      additionally covers the per-tier link counters. *)
@@ -1265,9 +1254,8 @@ let at_scale ?(scale = quick) ?jobs () =
   let ft_ok =
     List.for_all
       (fun kind ->
-        let base = ft_probe ~shard:false ~ff:false kind in
-        ft_probe ~shard:true ~ff:false kind = base
-        && ft_probe ~shard:true ~ff:true kind = base)
+        let base = ft_probe ~shard:false kind in
+        ft_probe ~shard:true kind = base)
       os_kinds
   in
   Report.record ~figure:"scale" ~metric:"ft_shard_equiv"
@@ -1278,8 +1266,8 @@ let at_scale ?(scale = quick) ?jobs () =
   (* And once more with a live link-fault schedule (DESIGN.md section
      15): parked links stay owned by their Shardmap shard, down-window
      transitions land on result-determined instants, and the
-     fingerprint's new fault counters must survive shard-on/off and
-     fast-forward bit for bit. *)
+     fingerprint's new fault counters must survive shard-on/off bit for
+     bit. *)
   let ft_fault c =
     c.Costs.fault_horizon <- 4.0e7;
     c.Costs.fault_link_down_interval <- 3.0e5;
@@ -1296,9 +1284,8 @@ let at_scale ?(scale = quick) ?jobs () =
   let ftf_ok =
     List.for_all
       (fun kind ->
-        let base = ftf_probe ~shard:false ~ff:false kind in
-        ftf_probe ~shard:true ~ff:false kind = base
-        && ftf_probe ~shard:true ~ff:true kind = base)
+        let base = ftf_probe ~shard:false kind in
+        ftf_probe ~shard:true kind = base)
       os_kinds
   in
   Report.record ~figure:"scale" ~metric:"ft_fault_shard_equiv"
@@ -1326,17 +1313,17 @@ let at_scale ?(scale = quick) ?jobs () =
       (fun (r_ok, c_ok) kind ->
         let plain =
           with_ledgers false (fun () ->
-              at_scale_probe ~shard:false ~ff:false kind)
+              at_scale_probe ~shard:false kind)
         in
         ignore (Breakdown.take_fingerprint ());
         let armed =
           with_ledgers true (fun () ->
-              at_scale_probe ~shard:false ~ff:false kind)
+              at_scale_probe ~shard:false kind)
         in
         let lg_unsharded = Breakdown.take_fingerprint () in
         let sharded =
           with_ledgers true (fun () ->
-              at_scale_probe ~shard:true ~ff:false kind)
+              at_scale_probe ~shard:true kind)
         in
         let lg_sharded = Breakdown.take_fingerprint () in
         ( r_ok && plain = armed && sharded = plain,
@@ -1353,8 +1340,8 @@ let at_scale ?(scale = quick) ?jobs () =
   buf_add b
     (Printf.sprintf "ledger shard on/off: %s (3 OS configs)\n\n"
        (if lg_content_ok then "OK, breakdown byte-identical" else "MISMATCH"));
-  (* Part B: the big sweep.  Switches go on before the pool spins up and
-     come off after it drains — workers only ever read them. *)
+  (* Part B: the big sweep.  The switch goes on before the pool spins up
+     and comes off after it drains — workers only ever read it. *)
   let rpn = 8 in
   let nodes = at_scale_nodes scale in
   (* Half the steps and sweep phases of the calibrated Figure 6a runs:
@@ -1365,12 +1352,8 @@ let at_scale ?(scale = quick) ?jobs () =
   let umt_params =
     { Pico_apps.Umt.default with steps = 2; sweep_phases = 2 }
   in
-  Sim.fast_forward := true;
   Cluster.sharding := true;
-  Fun.protect ~finally:(fun () ->
-      Sim.fast_forward := false;
-      Cluster.sharding := false)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Cluster.sharding := false) @@ fun () ->
   let points =
     List.concat_map (fun n -> List.map (fun k -> (n, k)) os_kinds) nodes
   in

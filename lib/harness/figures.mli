@@ -95,13 +95,13 @@ val faults : ?size:int -> ?iters:int -> ?jobs:int -> unit -> string
     part of {!all}. *)
 val fabric : ?jobs:int -> unit -> string
 
-(** At-scale sweeps on the sharded + fast-forwarded engine: (a) per OS
-    configuration, small-world proof that shard-on/off and
-    fast-forward-on/off produce byte-identical simulation results (the
-    unsharded comparator opts into [Cluster.ordered_arrivals], the
-    tie-break sharded builds force); (b) the Figure 6a-shaped UMT2013
-    sweep pushed to 64-256 nodes (quick scale; up to 1024 at full) with
-    both switches on — the paper's at-scale collapse in minutes.
+(** At-scale sweeps on the sharded engine: (a) per OS configuration,
+    small-world proof that shard-on/off produces byte-identical
+    simulation results (the unsharded comparator opts into
+    [Cluster.ordered_arrivals], the tie-break sharded builds force);
+    (b) the Figure 6a-shaped UMT2013 sweep pushed to 64-256 nodes (quick
+    scale; up to 1024 at full) with sharding on — the paper's at-scale
+    collapse in minutes.
     [engine/shards/*] report keys expose per-shard event counts, barrier
     rounds and epochs skipped.  Not part of {!all}. *)
 val at_scale : ?scale:scale -> ?jobs:int -> unit -> string

@@ -6,7 +6,6 @@ module Mailbox = Pico_engine.Mailbox
 module Semaphore = Pico_engine.Semaphore
 module Resource = Pico_engine.Resource
 module Stats = Pico_engine.Stats
-module Trace = Pico_engine.Trace
 module Addr = Pico_hw.Addr
 module Node = Pico_hw.Node
 module Irq = Pico_hw.Irq

@@ -18,6 +18,16 @@ type os = {
   nanosleep : float -> unit;
 }
 
+(* PSM's shipped protocol configuration.  Messages up to
+   [eager_threshold] bytes go eager over PIO (the 64 kB default the paper
+   quotes); above it the rendezvous registers and pushes windows of at
+   most [window_size] bytes, [pipeline_depth] of them granted at once. *)
+let eager_threshold = 65536
+
+let window_size = 1024 * 1024
+
+let pipeline_depth = 2
+
 (* --- request state machines -------------------------------------------- *)
 
 type window = {
@@ -83,7 +93,7 @@ type t = {
   sends : (int, req) Hashtbl.t;
   (* unexpected accumulators by (src_rank, msg_id) *)
   accum : (int * int, unexp) Hashtbl.t;
-  (* receiver-side TID registration cache (Config.tid_cache) *)
+  (* receiver-side TID registration cache (Costs.psm_tid_cache) *)
   tids : (int * int, int * int) Hashtbl.t; (* (va, len) -> (base, count) *)
   scratch : Addr.t;
   mutable next_msg_id : int;
@@ -234,7 +244,7 @@ let isend t ~dst ~tag ~va ~len =
   (* Intra-node traffic goes through PSM's shared-memory transport: plain
      copies, no NIC and no driver — which is why single-node runs are
      immune to the offloading penalty (paper Fig. 6). *)
-  if len <= !Config.eager_threshold || same_node t dst then begin
+  if len <= eager_threshold || same_node t dst then begin
     eager_send t st;
     req.complete <- true;
     Ledger.close t.os.sim req.lg ~phase:"eager_send"
@@ -258,9 +268,8 @@ let memcpy_charge t len =
 (* Register one window of the receive buffer and grant it to the sender. *)
 let register_window t ~va ~len =
   let key = (va, len) in
-  match
-    if !Config.tid_cache then Hashtbl.find_opt t.tids key else None
-  with
+  let cache = (Costs.current ()).Costs.psm_tid_cache in
+  match if cache then Hashtbl.find_opt t.tids key else None with
   | Some cached -> cached
   | None ->
     t.os.write_user (t.scratch + scratch_arg)
@@ -269,12 +278,16 @@ let register_window t ~va ~len =
       t.os.ioctl ~cmd:User_api.ioctl_tid_update ~arg:(t.scratch + scratch_arg)
     in
     let entry = if ret < 0 then (-1, 0) else (ret land 0xffff, ret lsr 16) in
-    if !Config.tid_cache && fst entry >= 0 then Hashtbl.replace t.tids key entry;
+    if cache && fst entry >= 0 then Hashtbl.replace t.tids key entry;
     entry
+
+(* Bytes a rendezvous actually moves: like PSM's MQ, a message longer
+   than the posted receive is truncated to the posted length. *)
+let xfer_len (r : recv_st) = min r.r_msg_len r.r_len
 
 let grant_window t (r : recv_st) ~src =
   let offset = r.r_next_off in
-  let win_len = min !Config.window_size (r.r_msg_len - offset) in
+  let win_len = min window_size (xfer_len r - offset) in
   if win_len > 0 then begin
     let tid_base, tid_count =
       register_window t ~va:(r.r_va + offset) ~len:win_len
@@ -287,21 +300,37 @@ let grant_window t (r : recv_st) ~src =
     send_ctrl t ~dst:src
       (Proto.Cts
          { msg_id = r.r_msg_id; offset; win_len; tid_base;
-           dst_rank = t.os.rank })
+           xfer_len = xfer_len r; dst_rank = t.os.rank })
+  end
+
+let maybe_complete t req (r : recv_st) =
+  let expect = if r.r_rndv then xfer_len r else r.r_msg_len in
+  if r.r_msg_len >= 0 && r.r_done >= expect then begin
+    req.complete <- true;
+    Ledger.close t.os.sim req.lg ~phase:"recv_complete"
   end
 
 let start_rendezvous t req (r : recv_st) ~src =
   r.r_rndv <- true;
-  Hashtbl.replace t.active (src, r.r_msg_id) req;
-  let depth = max 1 !Config.pipeline_depth in
-  let rec go n =
-    if n > 0 && r.r_next_off < r.r_msg_len then begin
-      grant_window t r ~src;
-      go (n - 1)
-    end
-  in
-  go depth;
-  Ledger.mark t.os.sim req.lg ~phase:"window_grant"
+  if xfer_len r <= 0 then begin
+    (* Truncated to nothing: one empty grant completes the sender. *)
+    send_ctrl t ~dst:src
+      (Proto.Cts
+         { msg_id = r.r_msg_id; offset = 0; win_len = 0; tid_base = -1;
+           xfer_len = 0; dst_rank = t.os.rank });
+    maybe_complete t req r
+  end
+  else begin
+    Hashtbl.replace t.active (src, r.r_msg_id) req;
+    let rec go n =
+      if n > 0 && r.r_next_off < xfer_len r then begin
+        grant_window t r ~src;
+        go (n - 1)
+      end
+    in
+    go pipeline_depth;
+    Ledger.mark t.os.sim req.lg ~phase:"window_grant"
+  end
 
 (* Copy one eager fragment into the user buffer. *)
 let place_fragment t (r : recv_st) ~offset ~frag_len ~payload =
@@ -313,12 +342,6 @@ let place_fragment t (r : recv_st) ~offset ~frag_len ~payload =
   memcpy_charge t frag_len;
   r.r_done <- r.r_done + frag_len
 
-let maybe_complete t req (r : recv_st) =
-  if r.r_msg_len >= 0 && r.r_done >= r.r_msg_len then begin
-    req.complete <- true;
-    Ledger.close t.os.sim req.lg ~phase:"recv_complete"
-  end
-
 (* An eager fragment (or rendezvous eager-fallback data) for an already
    matched receive.  For a rendezvous that fell back to eager windows
    (RcvArray exhaustion), arriving data is also the cue to grant the next
@@ -329,7 +352,7 @@ let continue_active t req ~src ~offset ~frag_len ~payload =
     Ledger.mark t.os.sim req.lg ~phase:"data_wait";
     place_fragment t r ~offset ~frag_len ~payload;
     Ledger.mark t.os.sim req.lg ~phase:"copy";
-    if r.r_rndv && r.r_next_off < r.r_msg_len then begin
+    if r.r_rndv && r.r_next_off < xfer_len r then begin
       grant_window t r ~src;
       Ledger.mark t.os.sim req.lg ~phase:"window_grant"
     end;
@@ -437,16 +460,16 @@ let handle_rts t (tag, msg_id, msg_len, src_rank) =
     let u = accum_for t ~src:src_rank ~msg_id ~msg_len ~rndv:true in
     Mq.add_unexpected t.mq ~src:src_rank ~tag u
 
-let handle_cts t (msg_id, offset, win_len, tid_base) =
+let handle_cts t (msg_id, offset, win_len, tid_base, xfer_len) =
   match Hashtbl.find_opt t.sends msg_id with
   | None -> () (* stale CTS for a cancelled send: drop *)
   | Some req ->
     (match req.kind with
      | Send st ->
        Ledger.mark t.os.sim req.lg ~phase:"cts_wait";
-       sdma_window t st ~offset ~win_len ~tid_base;
+       if win_len > 0 then sdma_window t st ~offset ~win_len ~tid_base;
        Ledger.mark t.os.sim req.lg ~phase:"window_submit";
-       if st.s_submitted >= st.s_len then begin
+       if st.s_submitted >= xfer_len then begin
          req.complete <- true;
          Hashtbl.remove t.sends msg_id;
          Ledger.close t.os.sim req.lg ~phase:"window_submit"
@@ -455,7 +478,10 @@ let handle_cts t (msg_id, offset, win_len, tid_base) =
 
 let free_window t (w : window) =
   (* With the cache on, registrations persist for reuse. *)
-  if (not !Config.tid_cache) && w.w_tid_base >= 0 && w.w_tid_count > 0 then begin
+  if
+    (not (Costs.current ()).Costs.psm_tid_cache)
+    && w.w_tid_base >= 0 && w.w_tid_count > 0
+  then begin
     t.os.write_user (t.scratch + scratch_arg)
       (User_api.encode_tid_free
          { User_api.tf_tid_base = w.w_tid_base; tf_count = w.w_tid_count });
@@ -477,7 +503,7 @@ let handle_expected t ~src_rank ~msg_id ~offset ~frag_len =
           free_window t w
         | None -> ());
        (* Keep the pipeline full. *)
-       if r.r_next_off < r.r_msg_len then grant_window t r ~src:src_rank;
+       if r.r_next_off < xfer_len r then grant_window t r ~src:src_rank;
        Ledger.mark t.os.sim req.lg ~phase:"window_grant";
        maybe_complete t req r;
        if req.complete then Hashtbl.remove t.active (src_rank, msg_id)
@@ -490,8 +516,9 @@ let handle_event t (ev : Hfi.rx_event) =
      | Wire.Eager _ as e -> handle_eager t e p.Wire.payload
      | Wire.Ctrl (Proto.Rts { tag; msg_id; msg_len; src_rank }) ->
        handle_rts t (tag, msg_id, msg_len, src_rank)
-     | Wire.Ctrl (Proto.Cts { msg_id; offset; win_len; tid_base; _ }) ->
-       handle_cts t (msg_id, offset, win_len, tid_base)
+     | Wire.Ctrl (Proto.Cts { msg_id; offset; win_len; tid_base; xfer_len; _ })
+       ->
+       handle_cts t (msg_id, offset, win_len, tid_base, xfer_len)
      | Wire.Ctrl _ -> ()
      | Wire.Expected _ ->
        (* Expected data is delivered as Rx_expected by the hardware. *)

@@ -3,15 +3,18 @@
     One endpoint per MPI rank.  Send/receive follow PSM's two transfer
     modes (paper Section 2.2.1):
 
-    - {e eager} (≤ {!Config.eager_threshold}): programmed I/O from user
-      space, received into library-internal buffers and copied out on
-      match — no driver involvement at all;
+    - {e eager} (≤ 64 kB, PSM's default threshold): programmed I/O from
+      user space, received into library-internal buffers and copied out
+      on match — no driver involvement at all;
     - {e rendezvous} (above the threshold): RTS/CTS handshake; the
       receiver registers windows of its buffer for direct data placement
       (TID_UPDATE ioctl), the sender pushes each window with SDMA
       (writev), the receiver unregisters (TID_FREE).  Every driver
       interaction goes through the {!os} vector, which is where the three
       OS configurations differ.
+
+    A message longer than the posted receive is truncated to the posted
+    length, as in PSM's matched queue; both sides still complete.
 
     The endpoint is single-threaded: progress happens inside [wait]/
     [progress] on the calling rank's process, like real PSM. *)

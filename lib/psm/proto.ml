@@ -12,16 +12,8 @@ type Wire.ctrl +=
       offset : int;
       win_len : int;
       tid_base : int;
+      xfer_len : int;
       dst_rank : int;
     }
 
 let ctrl_bytes = 32
-
-let describe = function
-  | Rts r ->
-    Printf.sprintf "RTS(tag=%Ld msg=%d len=%d from=%d)" r.tag r.msg_id
-      r.msg_len r.src_rank
-  | Cts c ->
-    Printf.sprintf "CTS(msg=%d off=%d len=%d tid=%d)" c.msg_id c.offset
-      c.win_len c.tid_base
-  | _ -> "ctrl(?)"

@@ -15,11 +15,12 @@ type Wire.ctrl +=
       offset : int;       (** window offset within the message *)
       win_len : int;
       tid_base : int;     (** -1: receiver could not register; send eager *)
+      xfer_len : int;
+      (** bytes the whole rendezvous moves: the message length, truncated
+          to the posted receive (0: nothing to send) *)
       dst_rank : int;     (** rank that issued the CTS *)
     }
       (** clear-to-send: one window is registered and may be SDMA'd *)
 
 (** Size on the wire of a control message. *)
 val ctrl_bytes : int
-
-val describe : Wire.ctrl -> string

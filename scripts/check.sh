@@ -18,6 +18,15 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+# The benchmark harness must still build from this checkout and pass its
+# own output checks on the smallest workload.
+echo "== simbench smoke: pingpong =="
+if ! sh simbench/run.sh --workload pingpong --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | grep -q '"correct": true'; then
+  echo "FAIL: simbench pingpong did not report correct results" >&2
+  exit 1
+fi
+
 echo "== determinism: picobench all -s quick, jobs=1 vs jobs=$jobs =="
 seq_out="$(mktemp)"
 par_out="$(mktemp)"
@@ -172,15 +181,11 @@ if ! diff -u "$sseq_json.masked" "$spar_json.masked"; then
 fi
 rm -f "$sseq_json.masked" "$spar_json.masked"
 
-# Sharding and steady-state fast-forward must not change simulation
-# results: the figure re-runs small worlds under every switch
-# combination and prints one greppable line per switch.
+# Sharding must not change simulation results: the figure re-runs
+# small worlds sharded and unsharded and prints one greppable line per
+# world kind.
 if ! grep -q '^sharding on/off: OK' "$sseq_out"; then
   echo "FAIL: sharded engine is not byte-identical to unsharded" >&2
-  exit 1
-fi
-if ! grep -q '^fast-forward on/off: OK' "$sseq_out"; then
-  echo "FAIL: fast-forward is not byte-identical to per-event" >&2
   exit 1
 fi
 # The fat-tree half of the figure (Shardmap link owners, decomposed hop
@@ -192,7 +197,7 @@ if ! grep -q '^fat-tree sharding on/off: OK' "$sseq_out"; then
 fi
 # With a live link-fault schedule on the fat-tree, parked links stay
 # owned by their Shardmap shard and every fault counter is a result:
-# shard-on/off (and fast-forward) must still be bit-identical.
+# shard-on/off must still be bit-identical.
 if ! grep -q '^faulted fat-tree sharding on/off: OK' "$sseq_out"; then
   echo "FAIL: faulted fat-tree sharding changed simulation results" >&2
   exit 1

@@ -16,7 +16,7 @@
 # with PICO_PERF_LEDGER=0.
 #
 # A second, informative wall-clock FOM comes from `picobench scale`: the
-# 64-256-node sweep on the sharded + fast-forwarded engine, whose whole
+# 64-256-node sweep on the sharded engine, whose whole
 # point is finishing in minutes.  Its host seconds are recorded next to
 # the throughput numbers (and refreshed into the baseline) but only warn,
 # never fail — the hard gate stays fig4's equiv_events_per_sec.  Skip it

@@ -1,18 +1,15 @@
 (* Tests for PSM: matched queues and the endpoint transfer engine
-   (eager, rendezvous, unexpected messages, wildcards). *)
+   (eager, rendezvous, unexpected messages, wildcards, truncation). *)
 
 module Sim = Pico_engine.Sim
 module Addr = Pico_hw.Addr
 module Mq = Pico_psm.Mq
-module Config = Pico_psm.Config
 module Endpoint = Pico_psm.Endpoint
 module Comm = Pico_mpi.Comm
 module H = Pico_harness
 module Costs = Pico_costs.Costs
 
 let () = Costs.reset ()
-
-let () = Config.reset ()
 
 (* --- Mq --------------------------------------------------------------------- *)
 
@@ -265,41 +262,41 @@ let test_counters () =
   Alcotest.(check int) "one eager" 1 !eager;
   Alcotest.(check int) "one rendezvous" 1 !rndv
 
+let with_tid_cache on f =
+  Costs.with_patched (fun c -> c.Costs.psm_tid_cache <- on) f
+
 let test_tid_cache_reuses_registrations () =
   let ok = ref false in
   let ioctls = ref (-1) in
   let len = 256 * 1024 in
-  Config.tid_cache := true;
-  (try
-     run_pair (fun comm ->
-         let ep = comm.Comm.ep in
-         let buf = alloc comm len in
-         if comm.Comm.rank = 0 then begin
-           write comm buf (pattern 4 len);
-           Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len);
-           write comm buf (pattern 6 len);
-           Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len)
-         end
-         else begin
-           (* Same buffer both times: the second transfer reuses the
-              cached registration (one TID_UPDATE total, no TID_FREE). *)
-           Endpoint.wait ep
-             (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
-           Endpoint.wait ep
-             (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
-           ok := read comm buf len = pattern 6 len;
-           ioctls :=
-             Pico_engine.Stats.Registry.count_of comm.Comm.profile "x" * 0
-         end;
-         Pico_mpi.Collectives.barrier comm)
-   with e -> Config.tid_cache := false; raise e);
-  Config.tid_cache := false;
+  with_tid_cache true (fun () ->
+    run_pair (fun comm ->
+        let ep = comm.Comm.ep in
+        let buf = alloc comm len in
+        if comm.Comm.rank = 0 then begin
+          write comm buf (pattern 4 len);
+          Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len);
+          write comm buf (pattern 6 len);
+          Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len)
+        end
+        else begin
+          (* Same buffer both times: the second transfer reuses the
+             cached registration (one TID_UPDATE total, no TID_FREE). *)
+          Endpoint.wait ep
+            (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
+          Endpoint.wait ep
+            (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
+          ok := read comm buf len = pattern 6 len;
+          ioctls :=
+            Pico_engine.Stats.Registry.count_of comm.Comm.profile "x" * 0
+        end;
+        Pico_mpi.Collectives.barrier comm));
   ignore !ioctls;
   Alcotest.(check bool) "second transfer intact via cached TIDs" true !ok
 
 let test_tid_cache_fewer_driver_calls () =
   let count_ioctls cache =
-    Config.tid_cache := cache;
+    with_tid_cache cache @@ fun () ->
     let cl = H.Cluster.build H.Cluster.Linux ~n_nodes:2 ~carry_payload:false () in
     let len = 256 * 1024 in
     ignore
@@ -315,7 +312,6 @@ let test_tid_cache_fewer_driver_calls () =
            done;
            Pico_mpi.Collectives.barrier comm;
            0.));
-    Config.tid_cache := false;
     let env = H.Cluster.node_env cl 1 in
     Pico_linux.Hfi1_driver.ioctl_calls env.H.Cluster.driver
   in
@@ -331,30 +327,26 @@ let test_rcvarray_exhaustion_fallback () =
      must fall back to eager SDMA windows and still deliver intact —
      including granting windows beyond the pipeline depth. *)
   let ok = ref false in
-  let len = 300 * 1024 in
-  Config.window_size := 64 * 1024 (* 5 windows > pipeline depth 2 *);
+  let len = 3 * 1024 * 1024 (* 3 windows > pipeline depth 2 *) in
   let cl =
     H.Cluster.build H.Cluster.Linux ~n_nodes:2 ~carry_payload:true
       ~rcv_entries:8 ()
   in
-  (try
-     ignore
-       (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
-            let ep = comm.Comm.ep in
-            let buf = alloc comm len in
-            if comm.Comm.rank = 0 then begin
-              write comm buf (pattern 13 len);
-              Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:21L ~va:buf ~len)
-            end
-            else begin
-              Endpoint.wait ep
-                (Endpoint.irecv ep ~src:(Some 0) ~tag:21L ~va:buf ~len ());
-              ok := read comm buf len = pattern 13 len
-            end;
-            Pico_mpi.Collectives.barrier comm;
-            0.))
-   with e -> Config.reset (); raise e);
-  Config.reset ();
+  ignore
+    (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
+         let ep = comm.Comm.ep in
+         let buf = alloc comm len in
+         if comm.Comm.rank = 0 then begin
+           write comm buf (pattern 13 len);
+           Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:21L ~va:buf ~len)
+         end
+         else begin
+           Endpoint.wait ep
+             (Endpoint.irecv ep ~src:(Some 0) ~tag:21L ~va:buf ~len ());
+           ok := read comm buf len = pattern 13 len
+         end;
+         Pico_mpi.Collectives.barrier comm;
+         0.));
   (* No TIDs were ever programmed. *)
   let env = H.Cluster.node_env cl 1 in
   Alcotest.(check int) "registrations failed as intended" 0
@@ -363,58 +355,86 @@ let test_rcvarray_exhaustion_fallback () =
           (Option.get (Pico_nic.Hfi.context env.H.Cluster.hfi 0))));
   Alcotest.(check bool) "fallback delivered intact" true !ok
 
+(* Send [plan] (length, tag) from rank 0 to rank 1, with rank 1 posting
+   one receive per entry, sized like the entry, in reverse order.  The
+   expected content follows MPI's non-overtaking rule: per tag, the k-th
+   message sent matches the k-th receive posted, truncated to the posted
+   length.  Returns whether every receive holds its expected bytes. *)
+let message_plan_intact plan =
+  let plan = Array.of_list plan in
+  let n = Array.length plan in
+  (* Receives post in index order n-1 .. 0: per tag, pair sends in
+     ascending index with receives in descending index. *)
+  let sender = Array.make n (-1) in
+  Array.iteri
+    (fun i (_, tag) ->
+      let same = List.filter (fun j -> snd plan.(j) = tag) in
+      let sends = same (List.init n Fun.id) in
+      let recvs = same (List.init n (fun j -> n - 1 - j)) in
+      List.iteri
+        (fun k r -> if r = i then sender.(i) <- List.nth sends k)
+        recvs)
+    plan;
+  let intact = ref false in
+  run_pair (fun comm ->
+      let ep = comm.Comm.ep in
+      let ok =
+        if comm.Comm.rank = 0 then begin
+          let reqs =
+            Array.mapi
+              (fun i (len, tag) ->
+                let buf = alloc comm (max len 1) in
+                if len > 0 then write comm buf (pattern (i + 2) len);
+                Endpoint.isend ep ~dst:1 ~tag:(Int64.of_int tag) ~va:buf ~len)
+              plan
+          in
+          Array.iter (Endpoint.wait ep) reqs;
+          true
+        end
+        else begin
+          let bufs = Array.map (fun (len, _) -> alloc comm (max len 1)) plan in
+          let reqs =
+            List.init n (fun j ->
+                let i = n - 1 - j in
+                let len, tag = plan.(i) in
+                Endpoint.irecv ep ~src:(Some 0) ~tag:(Int64.of_int tag)
+                  ~va:bufs.(i) ~len ())
+          in
+          List.iter (Endpoint.wait ep) reqs;
+          List.for_all
+            (fun i ->
+              let s = sender.(i) in
+              let slen = fst plan.(s) in
+              let m = min (fst plan.(i)) slen in
+              m = 0
+              || read comm bufs.(i) m = Bytes.sub (pattern (s + 2) slen) 0 m)
+            (List.init n Fun.id)
+        end
+      in
+      (* Past the barrier, every request of both ranks has completed. *)
+      Pico_mpi.Collectives.barrier comm;
+      if comm.Comm.rank = 1 then intact := ok);
+  !intact
+
+(* A rendezvous-sized message matched to a 1-byte (then a 0-byte)
+   posted receive (tags repeat, receives post in reverse): the transfer
+   must truncate to the posted length instead of registering memory past
+   the buffer, and both sides must complete. *)
+let test_rndv_truncated () =
+  Alcotest.(check bool) "truncated rendezvous completes intact" true
+    (message_plan_intact [ (1, 907); (65537, 907) ]);
+  Alcotest.(check bool) "rendezvous truncated to nothing completes" true
+    (message_plan_intact [ (0, 907); (65537, 907) ])
+
 (* Property: a random batch of messages (mixed sizes straddling the
-   eager threshold, random tags) between two ranks always completes with
-   every payload intact, regardless of posting order. *)
+   eager threshold, random and repeating tags) between two ranks always
+   completes with every payload intact, regardless of posting order. *)
 let prop_random_message_plan =
   QCheck2.Test.make ~name:"random message plan completes intact" ~count:12
     QCheck2.Gen.(
       list_size (int_range 1 6)
         (pair (int_range 1 (300 * 1024)) (int_range 0 1000)))
-    (fun plan ->
-      let ok = ref true in
-      run_pair (fun comm ->
-          let ep = comm.Comm.ep in
-          let n = List.length plan in
-          if comm.Comm.rank = 0 then begin
-            let reqs =
-              List.mapi
-                (fun i (len, tag) ->
-                  let buf = alloc comm len in
-                  write comm buf (pattern (i + 2) len);
-                  Endpoint.isend ep ~dst:1 ~tag:(Int64.of_int tag) ~va:buf
-                    ~len)
-                plan
-            in
-            List.iter (Endpoint.wait ep) reqs
-          end
-          else begin
-            (* Post in reverse order to stress matching. *)
-            let posts =
-              List.mapi
-                (fun i (len, tag) ->
-                  let buf = alloc comm len in
-                  (i, len, tag, buf))
-                plan
-              |> List.rev
-            in
-            let reqs =
-              List.map
-                (fun (i, len, tag, buf) ->
-                  ( i, len, buf,
-                    Endpoint.irecv ep ~src:(Some 0) ~tag:(Int64.of_int tag)
-                      ~va:buf ~len () ))
-                posts
-            in
-            List.iter (fun (_, _, _, r) -> Endpoint.wait ep r) reqs;
-            List.iter
-              (fun (i, len, buf, _) ->
-                if read comm buf len <> pattern (i + 2) len then ok := false)
-              reqs;
-            ignore n
-          end;
-          Pico_mpi.Collectives.barrier comm);
-      !ok)
+    message_plan_intact
 
 let () =
   Alcotest.run "psm"
@@ -445,4 +465,5 @@ let () =
            test_tid_cache_fewer_driver_calls;
          Alcotest.test_case "rcvarray exhaustion fallback" `Quick
            test_rcvarray_exhaustion_fallback;
+         Alcotest.test_case "rndv truncated" `Quick test_rndv_truncated;
          QCheck_alcotest.to_alcotest prop_random_message_plan ]) ]

@@ -1,9 +1,8 @@
-(* Tests for the sharded engine and steady-state fast-forward: byte
-   identity of simulation results across shard-on/off and
-   fast-forward-on/off (including with fault injection armed, and on
-   fat-tree topologies where links have Shardmap owner shards), the
-   mid-run halt case proving fast-forward falls back to per-event
-   processing, Route memoization, and the shard counter plumbing. *)
+(* Tests for the engine's results: digests of the default path's results
+   pinned per OS kind, byte identity of simulation results across
+   shard-on/off (including with fault injection armed, mid-run SDMA
+   halts, and fat-tree topologies where links have Shardmap owner
+   shards), Route memoization, and the shard counter plumbing. *)
 
 module Sim = Pico_engine.Sim
 module Rng = Pico_engine.Rng
@@ -12,7 +11,6 @@ module Route = Pico_fabric.Route
 module Fabric = Pico_nic.Fabric
 module Hfi = Pico_nic.Hfi
 module Sdma = Pico_nic.Sdma
-module Noise = Pico_linux.Noise
 module Costs = Pico_costs.Costs
 module Cluster = Pico_harness.Cluster
 module Experiment = Pico_harness.Experiment
@@ -21,12 +19,14 @@ module Comm = Pico_mpi.Comm
 module Collectives = Pico_mpi.Collectives
 module Mpi = Pico_mpi.Mpi
 module Workload = Pico_apps.Workload
+module Imb = Pico_apps.Imb
+module Serve = Pico_serve.Serve
 
 let () = Costs.reset ()
 
 (* --- the probe workload ----------------------------------------------------
 
-   One steady-state iteration mixes everything the two switches touch:
+   One steady-state iteration mixes everything sharding touches:
    rendezvous-sized ring traffic (SDMA request trains), eager collective
    traffic, and noise-metered compute (Linux ranks).  Deliberately the
    same shape as the integration fuzz app, plus compute. *)
@@ -152,15 +152,13 @@ type probe = {
   fp : string;
   events : int;
   elided : int;
-  aborts : int;
   halts : int;
   linkhits : int;  (* parks + replays + reroutes + egress parks *)
 }
 
 let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
-    ~kind ~n_nodes ~rpn ~seed ~faults ~shard ~ff () =
+    ~kind ~n_nodes ~rpn ~seed ~faults ~shard () =
   with_faults ~links:linkfaults faults @@ fun () ->
-  Sim.fast_forward := ff;
   (* Identity across shard-on/off only holds between runs sharing the
      same same-instant arrival tie-break, so the unsharded comparator
      opts into the content order that sharded builds force on.  On a
@@ -168,9 +166,7 @@ let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
      (same code path sharded or not — only the event partitioning
      differs). *)
   Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () ->
-      Sim.fast_forward := false;
-      Cluster.ordered_arrivals := false)
+  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
   @@ fun () ->
   let cl = Cluster.build kind ~n_nodes ~topology ~sharding:shard ~seed () in
   Fault.install cl;
@@ -182,7 +178,6 @@ let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
   { fp = fingerprint cl res;
     events = Sim.events_processed cl.Cluster.sim;
     elided = Sim.events_elided cl.Cluster.sim;
-    aborts = sum (fun env -> Hfi.train_aborts env.Cluster.hfi);
     halts = sum (fun env -> Sdma.halts (Hfi.sdma env.Cluster.hfi));
     linkhits =
       fs.Fabric.fs_parks + fs.Fabric.fs_replays + fs.Fabric.fs_reroutes
@@ -190,11 +185,11 @@ let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
 
 let kinds = [| Cluster.Linux; Cluster.Mckernel; Cluster.Mckernel_hfi |]
 
-(* --- shard-on/off and fast-forward-on/off identity ------------------------- *)
+(* --- shard-on/off identity ------------------------------------------------ *)
 
 let prop_switch_identity =
   QCheck2.Test.make
-    ~name:"shard/fast-forward on/off: identical simulation results"
+    ~name:"shard on/off: identical simulation results"
     ~count:12
     ~print:(fun (k, n, r, s, f) ->
       Printf.sprintf "kind=%d n_nodes=%d rpn=%d seed=%d faults=%b" k n r s f)
@@ -205,21 +200,17 @@ let prop_switch_identity =
       let kind = kinds.(kind_i) in
       let seed = Int64.of_int seed in
       let base =
-        run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard:false ~ff:false ()
+        run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard:false ()
       in
-      List.for_all
-        (fun (shard, ff) ->
-          let p = run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard ~ff () in
-          p.fp = base.fp
-          (* Elision decisions depend only on simulated state, so they
-             are switch-for-switch identical unless fast-forward widens
-             the gates.  Raw event counts may drift by a handful under
-             sharding (a same-instant cross-shard put/get pair commutes
-             semantically but changes whether a wake event is needed),
-             which is why identity is defined over simulation results,
-             never engine-internal counters. *)
-          && (ff || p.elided = base.elided))
-        [ (true, false); (false, true); (true, true) ])
+      let p = run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard:true () in
+      p.fp = base.fp
+      (* Elision decisions depend only on simulated state, so they are
+         identical too.  Raw event counts may drift by a handful under
+         sharding (a same-instant cross-shard put/get pair commutes
+         semantically but changes whether a wake event is needed), which
+         is why identity is defined over simulation results, never
+         engine-internal counters. *)
+      && p.elided = base.elided)
 
 (* The same law over congested fat-tree fabrics: links have Shardmap
    owner shards, the hop walk is decomposed into per-shard events, and
@@ -242,42 +233,30 @@ let prop_ft_identity =
       let kind = kinds.(kind_i) in
       let seed = Int64.of_int seed in
       let topology = Topology.Fat_tree { radix; oversub } in
-      let base =
+      let run ~shard =
         run_probe ~topology ~linkfaults ~kind ~n_nodes ~rpn ~seed ~faults
-          ~shard:false ~ff:false ()
+          ~shard ()
       in
-      List.for_all
-        (fun (shard, ff) ->
-          let p =
-            run_probe ~topology ~linkfaults ~kind ~n_nodes ~rpn ~seed ~faults
-              ~shard ~ff ()
-          in
-          p.fp = base.fp)
-        [ (true, false); (true, true) ])
+      let base = run ~shard:false in
+      (run ~shard:true).fp = base.fp)
 
 (* The link-fault half of the law, pinned non-vacuously: a seed/rate
    point where the base run demonstrably parks packets on down links and
-   re-routes around them, then shard-on (and shard-on + fast-forward)
-   must reproduce every result — including the fault counters — bit for
-   bit. *)
+   re-routes around them, then shard-on must reproduce every result —
+   including the fault counters — bit for bit. *)
 let test_ft_linkfault_identity () =
   let kind = Cluster.Mckernel_hfi and n_nodes = 5 and rpn = 2
   and seed = 0x5EEDL in
   let topology = Topology.Fat_tree { radix = 2; oversub = 1 } in
-  let run ~shard ~ff =
+  let run ~shard =
     run_probe ~app:xchg_app ~topology ~linkfaults:true ~kind ~n_nodes ~rpn
-      ~seed ~faults:false ~shard ~ff ()
+      ~seed ~faults:false ~shard ()
   in
-  let base = run ~shard:false ~ff:false in
+  let base = run ~shard:false in
   Alcotest.(check bool) "link faults actually bit (parks or reroutes)" true
     (base.linkhits > 0);
-  List.iter
-    (fun (shard, ff) ->
-      let p = run ~shard ~ff in
-      Alcotest.(check string)
-        (Printf.sprintf "faulted fat-tree identity shard=%b ff=%b" shard ff)
-        base.fp p.fp)
-    [ (true, false); (true, true) ]
+  Alcotest.(check string) "faulted fat-tree identity" base.fp
+    (run ~shard:true).fp
 
 (* The `picobench scale` part A probe: UMT's persistent-channel wavefront
    sweeps (6-neighbour rendezvous halos) are the densest same-instant
@@ -285,73 +264,31 @@ let test_ft_linkfault_identity () =
 let test_umt_identity () =
   Array.iter
     (fun kind ->
-      let run ~shard ~ff =
+      let run ~shard =
         run_probe
           ~app:(fun c -> Pico_apps.Umt.run c)
-          ~kind ~n_nodes:4 ~rpn:2 ~seed:0x5EEDL ~faults:false ~shard ~ff ()
+          ~kind ~n_nodes:4 ~rpn:2 ~seed:0x5EEDL ~faults:false ~shard ()
       in
-      let base = run ~shard:false ~ff:false in
-      List.iter
-        (fun (shard, ff) ->
-          let p = run ~shard ~ff in
-          Alcotest.(check string)
-            (Printf.sprintf "umt identity shard=%b ff=%b" shard ff)
-            base.fp p.fp)
-        [ (true, false); (false, true); (true, true) ])
+      let base = run ~shard:false in
+      Alcotest.(check string) "umt identity" base.fp (run ~shard:true).fp)
     kinds
 
-(* --- mid-run halts under fast-forward -------------------------------------- *)
+(* --- mid-run halts under sharding ----------------------------------------- *)
 
-(* With halts armed and several ranks per node, fast-forward still forms
-   SDMA trains (the relaxed gate), engines halt mid-run, and contending
-   wire users rewind trains to the per-event path; results must stay
-   byte-identical to the fully per-event run. *)
-let test_ff_halt_fallback () =
+(* With halts armed and several ranks per node, engines halt mid-run
+   while node-mates contend for the wire; the sharded run must reproduce
+   the halt schedule and every result of the one-shard run. *)
+let test_shard_halt_identity () =
   let kind = Cluster.Mckernel_hfi and n_nodes = 2 and rpn = 2
   and seed = 42L in
-  let run ~shard ~ff =
-    run_probe ~app:xchg_app ~kind ~n_nodes ~rpn ~seed ~faults:true ~shard ~ff
-      ()
+  let run ~shard =
+    run_probe ~app:xchg_app ~kind ~n_nodes ~rpn ~seed ~faults:true ~shard ()
   in
-  let off = run ~shard:false ~ff:false in
-  let on = run ~shard:true ~ff:true in
+  let off = run ~shard:false in
+  let on = run ~shard:true in
   Alcotest.(check bool) "halts actually occurred" true (off.halts > 0);
-  Alcotest.(check bool) "fast-forward engaged (more elided events)" true
-    (on.elided > off.elided);
-  Alcotest.(check bool) "trains aborted into the per-event path" true
-    (on.aborts > 0);
   Alcotest.(check string) "identical results" off.fp on.fp;
   Alcotest.(check int) "identical halt schedule" off.halts on.halts
-
-(* --- noise clock closed form ------------------------------------------------ *)
-
-let prop_noise_ff =
-  QCheck2.Test.make
-    ~name:"noise fast-forward: same instants, draws and injected time"
-    ~count:60
-    QCheck2.Gen.(
-      tup2 (map Int64.of_int int)
-        (list_size (int_range 1 12) (oneofl [ 0.; 1.0e4; 3.3e5; 2.5e6 ])))
-    (fun (seed, durations) ->
-      let trace ff =
-        Sim.fast_forward := ff;
-        Fun.protect ~finally:(fun () -> Sim.fast_forward := false)
-        @@ fun () ->
-        let sim = Sim.create () in
-        let noise =
-          Noise.create sim ~rng:(Rng.create ~seed) ~nohz_full:true
-        in
-        let out = ref [] in
-        Sim.spawn sim (fun () ->
-            List.iter
-              (fun d ->
-                Noise.compute noise d;
-                out := Int64.bits_of_float (Sim.now sim) :: !out)
-              durations);
-        ignore (Sim.run sim);
-        (!out, Int64.bits_of_float (Noise.injected_ns noise))
-      in
-      trace false = trace true)
 
 (* --- route memoization ------------------------------------------------------ *)
 
@@ -419,7 +356,7 @@ let test_fat_tree_shards () =
   Alcotest.(check int) "one shard per node" 4 (Sim.shard_count cl.Cluster.sim);
   let run ~shard =
     run_probe ~topology ~app:xchg_app ~kind:Cluster.Mckernel_hfi ~n_nodes:4
-      ~rpn:2 ~seed:3L ~faults:false ~shard ~ff:false ()
+      ~rpn:2 ~seed:3L ~faults:false ~shard ()
   in
   let off = run ~shard:false in
   let on = run ~shard:true in
@@ -438,17 +375,124 @@ let test_shard_refused () =
   Alcotest.(check bool) "runs to completion" true
     (res.Experiment.fom_ns > 0.)
 
+(* --- pinned results ---------------------------------------------------------
+
+   Bit-exact results of small worlds on the default engine path (one
+   shard, unordered arrivals), per OS kind: MD5 digests of [fingerprint]
+   plus each workload's own outputs, recorded from a known good tree.  A
+   change meant to be results-neutral must leave every digest alone; a
+   change that moves results on purpose updates them and says so in
+   CHANGES.md (a mismatch prints the new digest). *)
+
+let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+
+let pinned_digest cl res extra =
+  Digest.to_hex (Digest.string (fingerprint cl res ^ extra))
+
+(* Figure 4's path: 2-node IMB PingPong across the PIO/SDMA threshold
+   up to the 4 MiB point the paper quotes. *)
+let pinned_pingpong kind =
+  let cl = Cluster.build kind ~n_nodes:2 () in
+  let out = ref [] in
+  let res =
+    Experiment.run cl ~ranks_per_node:1
+      (Imb.pingpong ~iters:4
+         ~sizes:[ 1; 4096; 65536; 262144; 4 * 1024 * 1024 ]
+         ~out)
+  in
+  pinned_digest cl res
+    (String.concat ""
+       (List.map
+          (fun (p : Imb.point) ->
+            Printf.sprintf "%d:%s:%s," p.Imb.size (bits p.Imb.time_ns)
+              (bits p.Imb.mbps))
+          (List.rev !out)))
+
+(* Figure 6a's path: UMT2013's wavefront sweeps, 4 nodes x 2 ranks. *)
+let pinned_umt kind =
+  let cl = Cluster.build kind ~n_nodes:4 () in
+  let res =
+    Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
+  in
+  pinned_digest cl res ""
+
+(* The service workload on the 2:1 fat-tree: one client fanning out to
+   three servers, admission control and the breaker armed. *)
+let pinned_serve kind =
+  Costs.with_patched
+    (fun c ->
+      c.Costs.serve_arrival_interval <- 16_000.;
+      c.Costs.serve_horizon <- 16_000. *. 2000.;
+      c.Costs.serve_burst_interval <- 40. *. 16_000.;
+      c.Costs.serve_burst_duration <- 8. *. 16_000.;
+      c.Costs.serve_admit_cap <- 24;
+      c.Costs.serve_breaker_threshold <- 8;
+      c.Costs.serve_timeout <- 5.0e6)
+  @@ fun () ->
+  let cl =
+    Cluster.build kind ~n_nodes:4
+      ~topology:(Topology.Fat_tree { radix = 4; oversub = 2 })
+      ()
+  in
+  let plans =
+    Serve.plans ~split:(fun () -> Rng.split cl.Cluster.rng) ~clients:1
+  in
+  let out = Array.make 4 None in
+  let res = Experiment.run cl ~ranks_per_node:1 (Serve.run ~plans ~out) in
+  let b = Buffer.create 4096 in
+  Array.iter
+    (function
+      | Some (Serve.Client cs) ->
+        Buffer.add_string b
+          (Printf.sprintf "C%d:%d:%d:%d:%d:%d:%d" cs.Serve.c_arrivals
+             cs.Serve.c_issued cs.Serve.c_ok cs.Serve.c_shed cs.Serve.c_late
+             cs.Serve.c_tripped cs.Serve.c_trips);
+        List.iter (fun l -> Buffer.add_string b (":" ^ bits l)) cs.Serve.c_lats
+      | Some (Serve.Server ss) ->
+        Buffer.add_string b
+          (Printf.sprintf "S%d:%d:%s" ss.Serve.s_handled ss.Serve.s_shed
+             (bits ss.Serve.s_busy_ns))
+      | None -> Buffer.add_string b "-")
+    out;
+  pinned_digest cl res (Buffer.contents b)
+
+let pinned =
+  [ (("pingpong", "linux"), "4c73acd14fc9e5942bed240ca1729bb4");
+    (("pingpong", "mck"), "1f9e867eed54d0d7f1a497838cde37b6");
+    (("pingpong", "hfi"), "ab4c2251dc92cbc2d5e23d756586e699");
+    (("umt", "linux"), "7625d0c3021541309f23f2742dc4e883");
+    (("umt", "mck"), "634cef40c1d72fba62371c33c75d5d58");
+    (("umt", "hfi"), "c157ce86b3dd0560e1b97f2aee123f1d");
+    (("serve_ft", "linux"), "c60daa782b81841d0a796d8b9a2efd08");
+    (("serve_ft", "mck"), "26cf59457f2aea5fea5b4dcc9232ab0a");
+    (("serve_ft", "hfi"), "5218490838b6fa7115e903dd1610b64f") ]
+
+let pinned_cases =
+  List.concat_map
+    (fun (world, run) ->
+      List.map
+        (fun (tag, kind) ->
+          Alcotest.test_case (world ^ " " ^ tag) `Slow (fun () ->
+              Alcotest.(check string)
+                "fingerprint digest" (List.assoc (world, tag) pinned)
+                (run kind)))
+        [ ("linux", Cluster.Linux); ("mck", Cluster.Mckernel);
+          ("hfi", Cluster.Mckernel_hfi) ])
+    [ ("pingpong", pinned_pingpong); ("umt", pinned_umt);
+      ("serve_ft", pinned_serve) ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "scale"
-    [ ("identity",
+    [ ("pinned", pinned_cases);
+      ("identity",
        [ q prop_switch_identity;
          q prop_ft_identity;
          Alcotest.test_case "umt wavefront identity" `Slow test_umt_identity;
-         Alcotest.test_case "ff halt fallback" `Slow test_ff_halt_fallback;
+         Alcotest.test_case "shard halt identity" `Slow
+           test_shard_halt_identity;
          Alcotest.test_case "faulted fat-tree identity" `Slow
            test_ft_linkfault_identity ]);
-      ("noise", [ q prop_noise_ff ]);
       ("route",
        [ q prop_route_memo;
          Alcotest.test_case "flat memo" `Quick test_route_memo_flat ]);
