@@ -201,7 +201,7 @@ let release_cell t c =
    keep push order among themselves.  Every shard partitioning thus
    agrees that a tail event runs once its instant is otherwise
    exhausted, which is what makes the fabric's same-instant arrival
-   batches (Fabric, [~ordered:true]) independent of the heap-insertion
+   batches (Fabric's content-ordered engines) independent of the heap-insertion
    schedule. *)
 let tail_band = 1 lsl 40
 

@@ -3,7 +3,7 @@ open H_import
 (* Request-level latency attribution behind [picobench --breakdown] /
    [PICO_BREAKDOWN_JSON].  While {!Pico_engine.Ledger.on} is set, every
    finished simulation's closed ledgers and timeline steps are gathered
-   here ({!note_sim}, called from {!Engine_obs.note_sim}) and folded per
+   here ({!note_sim}, called from {!Engine_obs.note_world}) and folded per
    figure by {!flush} into a metric registry of its own, written as a
    separate JSON file.
 

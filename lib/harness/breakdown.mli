@@ -3,7 +3,7 @@
 
     While {!Pico_engine.Ledger.on} is set, every finished simulation's
     closed latency ledgers and timeline steps are gathered here
-    ({!note_sim} — called from {!Engine_obs.note_sim}, thread-safe) and
+    ({!note_sim} — called from {!Engine_obs.note_world}, thread-safe) and
     folded per figure ({!flush} — called from {!Engine_obs.measure})
     into a metric registry of its own, written as one JSON object
     (schema [picodriver-breakdown-v1]) separate from the main

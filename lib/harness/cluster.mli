@@ -12,6 +12,14 @@ open H_import
 
 type os_kind = Linux | Mckernel | Mckernel_hfi
 
+(** How the world's engine runs, fixed when it is built (see
+    {!Fabric.engine}): [Calibrated], the default every paper figure is
+    measured on; [Ordered], one shard with content-ordered same-instant
+    arrivals, the comparator of shard-identity checks; [Sharded], one
+    shard per node with the same content order, so a [Sharded] world's
+    results are byte-identical to its [Ordered] twin. *)
+type engine = Fabric.engine = Calibrated | Ordered | Sharded
+
 type node_env = {
   node : Node.t;
   hfi : Hfi.t;
@@ -34,48 +42,25 @@ type t = {
       (** host-side identity used by the observability collectors to
           count a re-measured cluster once; allocation-order-dependent,
           so it must never feed a simulated or reported value *)
+  refused_sharding : bool;
+      (** a [Sharded] request this world could not honour; summed per
+          figure by {!Engine_obs} *)
 }
-
-(** Test-visible switch (default [false]): shard each experiment's event
-    population per node ({!Sim.shard_init}).  Flat topologies use
-    lookahead = [link_latency]; fat-tree topologies shard through the
-    {!Shardmap} link-ownership map with the tighter hop-floor lookahead
-    ([switch_latency] + the wire serialization floor), declared per
-    shard pair so host-to-host couplings keep the full [link_latency]
-    horizon.  Requests are refused only on genuinely unshardable
-    configs (single-node cluster, degenerate cost table) — see
-    {!shard_refusals}.  Byte-identity with the unsharded engine is a
-    hard invariant.  Set before a sweep, never inside one. *)
-val sharding : bool ref
-
-(** Process-wide count of sharding requests refused on unshardable
-    configs.  {!Engine_obs.measure} reports the per-figure delta as the
-    zero-omitted [engine/shards/refused] key; figures note a nonzero
-    delta in their header. *)
-val shard_refusals : unit -> int
-
-(** Test-visible switch (default [false]): build fabrics with
-    [Fabric.create ~ordered:true], delivering same-instant arrivals in
-    content order.  Sharded clusters force this regardless (the sharded
-    engine's barrier merge already is that order); the switch exists so
-    {e unsharded} comparator runs can opt into the same tie-break —
-    shard-on/off byte-identity only holds between runs that share it.
-    Default off: calibrated figures keep their historical arrival
-    order.  Set before a sweep, never inside one. *)
-val ordered_arrivals : bool ref
 
 (** [build kind ~n_nodes] assembles the cluster.  [topology] shapes the
     interconnect (default {!Topology.Flat}, the calibrated model every
-    paper figure uses).  [sharding] overrides the {!sharding} switch for
-    this cluster.  [carry_payload] turns on end-to-end data fidelity
-    (tests/examples; off for large sweeps).  [service_cores] is the
-    per-node CPU count reserved for OS activity (default 4, as on
-    Oakforest-PACS). *)
+    paper figure uses).  [engine] (default [Calibrated]) picks the
+    engine; a [Sharded] request is refused on genuinely unshardable
+    configs (a single node, a degenerate cost table) — the world then
+    runs [Ordered] and records [refused_sharding].  [carry_payload]
+    turns on end-to-end data fidelity (tests/examples; off for large
+    sweeps).  [service_cores] is the per-node CPU count reserved for OS
+    activity (default 4, as on Oakforest-PACS). *)
 val build :
   os_kind ->
   n_nodes:int ->
   ?topology:Topology.t ->
-  ?sharding:bool ->
+  ?engine:engine ->
   ?carry_payload:bool ->
   ?service_cores:int ->
   ?lwk_cores:int ->

@@ -22,6 +22,8 @@ type window = {
   mutable shard_ev_max : int;
   (* spans begun but never ended, discarded at drain (zero-omitted) *)
   mutable dropped_spans : int;
+  (* worlds whose Sharded request was refused (zero-omitted) *)
+  mutable refused : int;
 }
 
 let mutex = Mutex.create ()
@@ -30,9 +32,10 @@ let win =
   { events = 0; elided = 0; reused = 0; peak = 0; sims = 0;
     sharded_sims = 0; shards = 0; barriers = 0; epochs_elided = 0;
     xshard = 0; shard_ev_min = max_int; shard_ev_max = 0;
-    dropped_spans = 0 }
+    dropped_spans = 0; refused = 0 }
 
-let note_sim sim =
+let note_world (cl : Cluster.t) =
+  let sim = cl.Cluster.sim in
   Tracefile.note_sim sim;
   Breakdown.note_sim sim;
   (* after Tracefile's drain, which is what counts still-open spans *)
@@ -53,6 +56,7 @@ let note_sim sim =
   if peak > win.peak then win.peak <- peak;
   win.sims <- win.sims + 1;
   win.dropped_spans <- win.dropped_spans + dropped;
+  if cl.Cluster.refused_sharding then win.refused <- win.refused + 1;
   if Sim.sharded sim then begin
     win.sharded_sims <- win.sharded_sims + 1;
     win.shards <- win.shards + Sim.shard_count sim;
@@ -65,7 +69,14 @@ let note_sim sim =
         if n > win.shard_ev_max then win.shard_ev_max <- n)
       shard_ev
   end;
-  Mutex.unlock mutex
+  Mutex.unlock mutex;
+  Subsys_obs.note_cluster cl
+
+let sharding_refusals () =
+  Mutex.lock mutex;
+  let n = win.refused in
+  Mutex.unlock mutex;
+  n
 
 let reset () =
   Mutex.lock mutex;
@@ -82,6 +93,7 @@ let reset () =
   win.shard_ev_min <- max_int;
   win.shard_ev_max <- 0;
   win.dropped_spans <- 0;
+  win.refused <- 0;
   Mutex.unlock mutex
 
 (* Sub-phase host timer for figures that want one sweep's wall clock as
@@ -97,9 +109,6 @@ let host_timed ~figure ~metric f =
 let measure ~figure f =
   reset ();
   Subsys_obs.reset ();
-  (* Refusals live in [Cluster] (a counter here would be a module cycle:
-     Engine_obs -> Subsys_obs -> Cluster); the window is the delta. *)
-  let refused0 = Cluster.shard_refusals () in
   let t0 = Unix.gettimeofday () in
   let result = f () in
   let host = Unix.gettimeofday () -. t0 in
@@ -112,9 +121,8 @@ let measure ~figure f =
   let barriers = win.barriers and epochs_elided = win.epochs_elided in
   let xshard = win.xshard in
   let ev_min = win.shard_ev_min and ev_max = win.shard_ev_max in
-  let dropped = win.dropped_spans in
+  let dropped = win.dropped_spans and refused = win.refused in
   Mutex.unlock mutex;
-  let refused = Cluster.shard_refusals () - refused0 in
   let fi = float_of_int in
   let rate n = if host > 0. then fi n /. host else 0. in
   Report.record ~figure ~metric:"engine/events" (fi events);

@@ -1,8 +1,9 @@
 (** Event-engine observability: how much simulation work a figure did and
     how fast the host chewed through it.
 
-    Every completed simulation reports its {!Pico_engine.Sim} counters via
-    {!note_sim} (thread-safe: sweep points finish on pool worker domains);
+    Every completed world reports its {!Pico_engine.Sim} counters via
+    {!note_world} (thread-safe: sweep points finish on pool worker
+    domains);
     {!measure} brackets one figure, turning the accumulated window into
     [engine/*] metrics in {!Report}:
 
@@ -28,7 +29,11 @@
     [engine/peak_heap] aggregate across shards inside {!Sim} (sum of
     per-shard pools, max of per-shard high-water marks).
 
-    {!note_sim} also drains spans into {!Tracefile} and latency ledgers
+    A world whose [Sharded] request was refused (a genuinely unshardable
+    config, see {!Cluster.build}) adds to the zero-omitted
+    [engine/shards/refused] key.
+
+    {!note_world} also drains spans into {!Tracefile} and latency ledgers
     into {!Breakdown}, and counts spans begun but never ended (discarded
     at drain) — reported as the zero-omitted [trace/dropped_open] key so
     a figure whose trace silently lost spans is visible in the JSON.
@@ -37,13 +42,14 @@
     report (never on stdout), so `picobench` output stays byte-identical
     across hosts and runs. *)
 
-(** [note_sim sim] adds a finished simulation's engine counters to the
-    current window. *)
-val note_sim : Pico_engine.Sim.t -> unit
+(** [note_world cl] adds a finished world's engine counters and its
+    sharding refusal to the current window, then hands [cl] to
+    {!Subsys_obs.note_cluster}. *)
+val note_world : Cluster.t -> unit
 
-(** Sharding requests refused on genuinely unshardable configs are
-    counted by {!Cluster.shard_refusals}; {!measure} reports the
-    per-figure delta as the zero-omitted [engine/shards/refused] key. *)
+(** Worlds noted in the current window whose [Sharded] request was
+    refused — what {!measure} reports as [engine/shards/refused]. *)
+val sharding_refusals : unit -> int
 
 (** [measure ~figure f] runs [f] in a fresh window and records the
     [engine/*] metrics for [figure] into {!Report}. *)

@@ -62,8 +62,7 @@ let run (cl : Cluster.t) ~ranks_per_node app =
           errors := (rank, e) :: !errors)
   done;
   ignore (Sim.run sim);
-  Engine_obs.note_sim sim;
-  Subsys_obs.note_cluster cl;
+  Engine_obs.note_world cl;
   (match !errors with
    | [] -> ()
    | (rank, e) :: _ ->

@@ -87,6 +87,34 @@ let run_app kind ~n_nodes ~ranks_per_node app =
   let res = Experiment.run cl ~ranks_per_node app in
   res.Experiment.fom_ns
 
+(* The relative-performance table of a node sweep: one row per node
+   count, from the three per-OS results in sweep order ([foms] is
+   node-major), each recorded under [figure]. *)
+let relative_table ~figure nodes foms =
+  let rec to_rows nodes foms acc =
+    match (nodes, foms) with
+    | [], [] -> List.rev acc
+    | n :: nrest, linux :: mck :: hfi :: frest ->
+      Report.record ~figure ~metric:(Printf.sprintf "linux_fom_ns/n%d" n)
+        linux;
+      Report.record ~figure ~metric:(Printf.sprintf "mck_rel/n%d" n)
+        (linux /. mck);
+      Report.record ~figure ~metric:(Printf.sprintf "hfi_rel/n%d" n)
+        (linux /. hfi);
+      let row =
+        [ string_of_int n;
+          "100.0%";
+          Tables.pct (linux /. mck);
+          Tables.pct (linux /. hfi);
+          Tables.ns linux ]
+      in
+      to_rows nrest frest (row :: acc)
+    | _ -> invalid_arg (figure ^ ": result shape mismatch")
+  in
+  Tables.render
+    ~header:[ "nodes"; "Linux"; "McKernel"; "McKernel+HFI1"; "Linux FOM" ]
+    (to_rows nodes foms [])
+
 let app_figure ~title ~tag ~app ~min_nodes ?(rpn_factor = 1) ?jobs scale =
   Engine_obs.measure ~figure:tag @@ fun () ->
   let rpn = scale.ranks_per_node * rpn_factor in
@@ -100,34 +128,9 @@ let app_figure ~title ~tag ~app ~min_nodes ?(rpn_factor = 1) ?jobs scale =
           (fun (n, kind) -> run_app kind ~n_nodes:n ~ranks_per_node:rpn app)
           points)
   in
-  (* One row per node count, from the three per-OS results in sweep
-     order (the [points] list is node-major). *)
-  let rec to_rows nodes foms acc =
-    match (nodes, foms) with
-    | [], [] -> List.rev acc
-    | n :: nrest, linux :: mck :: hfi :: frest ->
-      Report.record ~figure:tag ~metric:(Printf.sprintf "linux_fom_ns/n%d" n)
-        linux;
-      Report.record ~figure:tag ~metric:(Printf.sprintf "mck_rel/n%d" n)
-        (linux /. mck);
-      Report.record ~figure:tag ~metric:(Printf.sprintf "hfi_rel/n%d" n)
-        (linux /. hfi);
-      let row =
-        [ string_of_int n;
-          "100.0%";
-          Tables.pct (linux /. mck);
-          Tables.pct (linux /. hfi);
-          Tables.ns linux ]
-      in
-      to_rows nrest frest (row :: acc)
-    | _ -> invalid_arg "app_figure: result shape mismatch"
-  in
-  let rows = to_rows nodes foms [] in
   Printf.sprintf "%s (relative performance to Linux, %d ranks/node)\n" title
     rpn
-  ^ Tables.render
-      ~header:[ "nodes"; "Linux"; "McKernel"; "McKernel+HFI1"; "Linux FOM" ]
-      rows
+  ^ relative_table ~figure:tag nodes foms
 
 let fig5a_lammps ?(scale = quick) ?jobs () =
   app_figure ~title:"Figure 5a: LAMMPS" ~tag:"fig5a" ~min_nodes:1 ~rpn_factor:2
@@ -530,8 +533,7 @@ let ibreg ?(registrations = 64) ?jobs () =
            done;
            mean := (Sim.now sim -. t0) /. float_of_int registrations));
     ignore (Sim.run sim);
-    Engine_obs.note_sim sim;
-    Subsys_obs.note_cluster cl;
+    Engine_obs.note_world cl;
     let saved =
       match env.Cluster.mlx_pico with
       | Some mp -> Pico_driver.Mlx_pico.entries_saved mp
@@ -1158,7 +1160,7 @@ let fabric ?jobs () =
 
 (* The Figures 5-7-shaped sweep pushed to the node counts the paper's
    cluster actually had, run on the per-node event-sharded engine
-   ([Cluster.sharding], with the content-ordered barrier merge).  Part A
+   ([Cluster.Sharded], with the content-ordered barrier merge).  Part A
    proves on small worlds that sharding does not change simulation
    results; Part B runs the big sweep with it on. *)
 
@@ -1195,18 +1197,17 @@ let at_scale_fingerprint (cl : Cluster.t) (res : Experiment.result) =
     fs.Fabric.fs_replays fs.Fabric.fs_reroutes fs.Fabric.fs_egress_parks
     fs.Fabric.fs_retries fs.Fabric.fs_degraded
 
-(* Sequential on purpose: each probe mutates a process-wide switch,
-   which must never happen inside a pool (workers read it). *)
+(* The engine of one side of a shard-on/off identity check: identity
+   only holds between runs sharing the same same-instant arrival
+   tie-break, so the one-shard comparator runs [Ordered], the content
+   order sharded builds always use. *)
+let probe_engine ~shard = if shard then Cluster.Sharded else Cluster.Ordered
+
 let at_scale_probe ?topology ?fault ~shard kind =
-  (* Identity across shard-on/off only holds between runs sharing the
-     same same-instant arrival tie-break (see [Cluster.ordered_arrivals]):
-     sharded builds force the content order, so the unsharded comparator
-     opts into it too. *)
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
   let body () =
-    let cl = Cluster.build kind ~n_nodes:4 ?topology ~sharding:shard () in
+    let cl =
+      Cluster.build kind ~n_nodes:4 ?topology ~engine:(probe_engine ~shard) ()
+    in
     if fault <> None then Fault.install cl;
     let res =
       Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
@@ -1230,7 +1231,6 @@ let oversub_topo = Topology.Fat_tree { radix = 4; oversub = 2 }
 
 let at_scale ?(scale = quick) ?jobs () =
   Engine_obs.measure ~figure:"scale" @@ fun () ->
-  let refused0 = Cluster.shard_refusals () in
   let b = Buffer.create 4096 in
   buf_add b "At-scale collapse on the sharded engine\n\n";
   (* Part A: per OS configuration, the sharded run must reproduce the
@@ -1340,8 +1340,7 @@ let at_scale ?(scale = quick) ?jobs () =
   buf_add b
     (Printf.sprintf "ledger shard on/off: %s (3 OS configs)\n\n"
        (if lg_content_ok then "OK, breakdown byte-identical" else "MISMATCH"));
-  (* Part B: the big sweep.  The switch goes on before the pool spins up
-     and comes off after it drains — workers only ever read it. *)
+  (* Part B: the big sweep, every world sharded. *)
   let rpn = 8 in
   let nodes = at_scale_nodes scale in
   (* Half the steps and sweep phases of the calibrated Figure 6a runs:
@@ -1352,8 +1351,6 @@ let at_scale ?(scale = quick) ?jobs () =
   let umt_params =
     { Pico_apps.Umt.default with steps = 2; sweep_phases = 2 }
   in
-  Cluster.sharding := true;
-  Fun.protect ~finally:(fun () -> Cluster.sharding := false) @@ fun () ->
   let points =
     List.concat_map (fun n -> List.map (fun k -> (n, k)) os_kinds) nodes
   in
@@ -1361,7 +1358,7 @@ let at_scale ?(scale = quick) ?jobs () =
     Pool.with_pool ?jobs (fun pool ->
         Pool.map pool
           (fun (n, kind) ->
-            let cl = Cluster.build kind ~n_nodes:n () in
+            let cl = Cluster.build kind ~n_nodes:n ~engine:Cluster.Sharded () in
             let res =
               Experiment.run cl ~ranks_per_node:rpn (fun c ->
                   Pico_apps.Umt.run ~params:umt_params c)
@@ -1369,35 +1366,10 @@ let at_scale ?(scale = quick) ?jobs () =
             res.Experiment.fom_ns)
           points)
   in
-  let rec to_rows nodes foms acc =
-    match (nodes, foms) with
-    | [], [] -> List.rev acc
-    | n :: nrest, linux :: mck :: hfi :: frest ->
-      Report.record ~figure:"scale"
-        ~metric:(Printf.sprintf "linux_fom_ns/n%d" n)
-        linux;
-      Report.record ~figure:"scale" ~metric:(Printf.sprintf "mck_rel/n%d" n)
-        (linux /. mck);
-      Report.record ~figure:"scale" ~metric:(Printf.sprintf "hfi_rel/n%d" n)
-        (linux /. hfi);
-      let row =
-        [ string_of_int n;
-          "100.0%";
-          Tables.pct (linux /. mck);
-          Tables.pct (linux /. hfi);
-          Tables.ns linux ]
-      in
-      to_rows nrest frest (row :: acc)
-    | _ -> invalid_arg "at_scale: result shape mismatch"
-  in
-  let rows = to_rows nodes foms [] in
   buf_add b
     (Printf.sprintf
        "UMT2013 at scale (relative performance to Linux, %d ranks/node)\n" rpn);
-  buf_add b
-    (Tables.render
-       ~header:[ "nodes"; "Linux"; "McKernel"; "McKernel+HFI1"; "Linux FOM" ]
-       rows);
+  buf_add b (relative_table ~figure:"scale" nodes foms);
   (* Part C: the oversubscribed fat-tree tail, 16 ranks/node on a
      starved core — the congested-topology runs the sharded fabric
      exists for.  Flat comparators run at the same node counts so the
@@ -1420,7 +1392,9 @@ let at_scale ?(scale = quick) ?jobs () =
     Pool.with_pool ?jobs (fun pool ->
         Pool.map pool
           (fun (n, topology, kind) ->
-            let cl = Cluster.build kind ~n_nodes:n ~topology () in
+            let cl =
+              Cluster.build kind ~n_nodes:n ~topology ~engine:Cluster.Sharded ()
+            in
             let res =
               Experiment.run cl ~ranks_per_node:ft_rpn (fun c ->
                   Pico_apps.Umt.run ~params:umt_params c)
@@ -1468,9 +1442,9 @@ let at_scale ?(scale = quick) ?jobs () =
            "McKernel+HFI1" ]
        ft_rows);
   (* Sharding requests refused mid-figure (genuinely unshardable
-     configs) are zero-omitted from the JSON; surface a nonzero delta in
+     configs) are zero-omitted from the JSON; surface a nonzero count in
      the header too so a silent drop cannot hide in a sweep. *)
-  let refused = Cluster.shard_refusals () - refused0 in
+  let refused = Engine_obs.sharding_refusals () in
   if refused > 0 then
     buf_add b
       (Printf.sprintf
@@ -1507,8 +1481,8 @@ type serve_point = {
 
 let serve_clients = 1
 
-let serve_world ?topology ?(sharding = false) kind ~n_nodes =
-  let cl = Cluster.build kind ~n_nodes ?topology ~sharding () in
+let serve_world ?topology ?engine kind ~n_nodes =
+  let cl = Cluster.build kind ~n_nodes ?topology ?engine () in
   let out = Array.make n_nodes None in
   let plans =
     Serve.plans ~split:(fun () -> Rng.split cl.Cluster.rng)
@@ -1591,12 +1565,8 @@ let serve_fingerprint (cl : Cluster.t) (res : Experiment.result) out =
 
 (* Small armed world for the identity probes: moderate load with
    admission, breaker and deadline all on, so the shed/trip counters in
-   the fingerprint are live.  Sequential on purpose (mutates the
-   process-wide switches). *)
+   the fingerprint are live. *)
 let serve_probe ?topology ~shard kind =
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
   Costs.with_patched (fun c ->
       c.Costs.serve_arrival_interval <- 2_500.;
       c.Costs.serve_horizon <- 1.0e6;
@@ -1607,7 +1577,9 @@ let serve_probe ?topology ~shard kind =
       c.Costs.serve_timeout <- 1.0e6)
   @@ fun () ->
   let n_nodes = 4 in
-  let cl, res, out = serve_world ?topology ~sharding:shard kind ~n_nodes in
+  let cl, res, out =
+    serve_world ?topology ~engine:(probe_engine ~shard) kind ~n_nodes
+  in
   serve_fingerprint cl res out
 
 (* The load sweep: offered load per point via the arrival interval, with

@@ -97,11 +97,11 @@ val fabric : ?jobs:int -> unit -> string
 
 (** At-scale sweeps on the sharded engine: (a) per OS configuration,
     small-world proof that shard-on/off produces byte-identical
-    simulation results (the unsharded comparator opts into
-    [Cluster.ordered_arrivals], the tie-break sharded builds force);
+    simulation results (the one-shard comparator is built
+    [Cluster.Ordered], the tie-break every [Cluster.Sharded] build uses);
     (b) the Figure 6a-shaped UMT2013 sweep pushed to 64-256 nodes (quick
-    scale; up to 1024 at full) with sharding on — the paper's at-scale
-    collapse in minutes.
+    scale; up to 1024 at full) on [Cluster.Sharded] worlds — the paper's
+    at-scale collapse in minutes.
     [engine/shards/*] report keys expose per-shard event counts, barrier
     rounds and epochs skipped.  Not part of {!all}. *)
 val at_scale : ?scale:scale -> ?jobs:int -> unit -> string
@@ -127,9 +127,11 @@ type serve_point = {
 }
 
 (** Build and run one serve world under the current cost table (ranks:
-    one client, the rest servers). *)
+    one client, the rest servers) on [engine] (default
+    [Cluster.Calibrated]). *)
 val serve_world :
-  ?topology:Pico_fabric.Topology.t -> ?sharding:bool -> Cluster.os_kind ->
+  ?topology:Pico_fabric.Topology.t -> ?engine:Cluster.engine ->
+  Cluster.os_kind ->
   n_nodes:int ->
   Cluster.t * Experiment.result * Pico_serve.Serve.rank_stats option array
 

@@ -3,7 +3,7 @@
 
     While {!Pico_engine.Span.on} is set, every finished simulation's
     spans are gathered here ({!note_sim} — called from
-    {!Engine_obs.note_sim}, thread-safe) and rendered as one
+    {!Engine_obs.note_world}, thread-safe) and rendered as one
     Perfetto-loadable JSON object: a process track per cluster label
     ([Cluster.build] labels its simulator "<kind>/<n>n"), a thread track
     per simulated process, timestamps in simulated microseconds.

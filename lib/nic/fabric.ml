@@ -1,6 +1,8 @@
 open Nic_import
 module Topology = Pico_fabric.Topology
 
+type engine = Calibrated | Ordered | Sharded
+
 type tier_stats = {
   ts_tier : string;
   ts_links : int;
@@ -36,11 +38,11 @@ type t = {
   mutable aborts : (int * (unit -> unit)) list;
   mutable packets : int;
   mutable bytes : int;
-  ordered : bool;
+  engine : engine;
   arrivals : (int * float, batch) Hashtbl.t; (* key: (dst, instant) *)
   mutable send_ord : int;
-  (* Decomposed (per-shard-steppable) hop walk, active when [ordered]
-     on a non-flat topology — see [hop_step]. *)
+  (* Decomposed (per-shard-steppable) hop walk, active when arrivals are
+     content-ordered on a non-flat topology — see [hop_step]. *)
   shardmap : Shardmap.t option;
   hop_batches : (Route.hop * float, hop_batch) Hashtbl.t;
   (* Nodes whose HFI currently holds a packet train (armed by Hfi); the
@@ -67,22 +69,69 @@ type t = {
   flat_last : (int * int, float) Hashtbl.t;
 }
 
-let create ?(topology = Topology.Flat) ?(ordered = false) sim =
+(* Shard [sim] into [nodes] shards, with the horizon the topology
+   promises: on [Flat] every cross-node coupling crosses the wire, one
+   full [link_latency] out, and no pair bound is needed; on a fat-tree
+   the link owners in [sm] decompose the hop walk, and the tightest
+   cross-shard coupling is one switch traversal plus the per-packet
+   serialization floor (the hop floor), while pure-host pairs keep
+   [link_latency].  Leaves [sim] alone and returns [false] when the
+   cost table's lookahead is not positive and finite. *)
+let shard_sim sim ~nodes sm =
+  let c = Costs.current () in
+  let link_latency = c.Costs.link_latency in
+  let lookahead, pair_bound =
+    match sm with
+    | None -> (link_latency, None)
+    | Some sm ->
+      let hop_floor =
+        c.Costs.switch_latency
+        +. (float_of_int c.Costs.packet_overhead_bytes
+            /. c.Costs.link_bandwidth)
+      in
+      ( Shardmap.lookahead sm ~link_latency ~hop_floor,
+        Some (Shardmap.pair_bound sm ~link_latency ~hop_floor) )
+  in
+  Float.is_finite lookahead
+  && lookahead > 0.
+  && (Sim.shard_init sim ~shards:nodes ?pair_bound ~lookahead ();
+      true)
+
+let create ?(topology = Topology.Flat) ?(engine = Calibrated) ?(nodes = 1)
+    sim =
   Topology.validate topology;
-  let decomposed = ordered && not (Topology.is_flat topology) in
+  (* Content-ordered fat-trees take the decomposed walk, whose link
+     owners are one Shardmap per fabric. *)
+  let shardmap shards =
+    if engine = Calibrated || Topology.is_flat topology then None
+    else Some (Shardmap.create topology ~shards)
+  in
+  let engine, shardmap =
+    match engine with
+    | Sharded when nodes > 1 ->
+      let sm = shardmap nodes in
+      if shard_sim sim ~nodes sm then (Sharded, sm) else (Ordered, shardmap 1)
+    | Sharded -> (Ordered, shardmap 1)
+    | (Calibrated | Ordered) as e -> (e, shardmap 1)
+  in
   let shards = max 1 (Sim.shard_count sim) in
-  { sim; topo = topology;
+  { sim; topo = topology; engine;
     routes = Route.Memo.create ~shards topology;
     sinks = Hashtbl.create 64; links = Hashtbl.create 64; aborts = [];
-    packets = 0; bytes = 0; ordered; arrivals = Hashtbl.create 64;
-    send_ord = 0;
-    shardmap =
-      (if decomposed then Some (Shardmap.create topology ~shards) else None);
+    packets = 0; bytes = 0; arrivals = Hashtbl.create 64;
+    send_ord = 0; shardmap;
     hop_batches = Hashtbl.create 64; armed = Hashtbl.create 16;
     abort_marks = Hashtbl.create 16;
     faults = None; fs_reroutes = 0; fs_egress_parks = 0; fs_retries = 0;
     fs_degraded = 0; flat_parks = 0; flat_replays = 0;
     park_wait = Hashtbl.create 16; flat_last = Hashtbl.create 64 }
+
+let engine t = t.engine
+
+(* Same-instant arrivals in content order: every engine but the
+   calibrated default. *)
+let ordered t =
+  match t.engine with Calibrated -> false | Ordered | Sharded -> true
 
 let topology t = t.topo
 
@@ -283,7 +332,7 @@ let buffer_arrival t rx (p : Wire.packet) ord =
           !b
         |> List.iter (fun (_, _, p, rx) -> deliver t rx p))
 
-(* Decomposed store-and-forward walk, the [ordered] fat-tree path: the
+(* Decomposed store-and-forward walk, the content-ordered fat-tree path: the
    same hop sequence and float arithmetic as [hop_walk], cut into
    per-shard events so a sharded engine can run congested topologies.
 
@@ -427,7 +476,7 @@ let send_at t ~time (p : Wire.packet) =
          when sharding is off).  Cross-node arrivals are one full
          [link_latency] out, which is exactly the sharded engine's
          lookahead; loopbacks stay within the sending shard. *)
-      if not t.ordered then
+      if not (ordered t) then
         Sim.at t.sim ~shard:p.dst_node arrive (fun () -> deliver t rx p)
       else begin
         (* Ordered same-instant arrival discipline.  Packets reaching
@@ -499,7 +548,7 @@ let send_at t ~time (p : Wire.packet) =
           end;
           (egress, hops)
       in
-      if not t.ordered then
+      if not (ordered t) then
         Sim.at t.sim egress (fun () -> hop_walk t rx p hops)
       else begin
         (* Decomposed walk: schedule the first hop's arbitration step

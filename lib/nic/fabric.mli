@@ -22,34 +22,52 @@ module Topology = Pico_fabric.Topology
 
 type t
 
-(** [create ?topology ?ordered sim] — default {!Topology.Flat}.
+(** How a world's engine runs, chosen once when the fabric is built:
 
-    [ordered] (default [false]) selects the same-instant arrival
-    discipline on the flat/loopback path: packets reaching one node at
-    the exact same instant are delivered as one batch, sorted by
-    [(src_node, send order)] — a content order that is identical whether
-    the engine is sharded or not, which is what makes shard-on/off runs
-    byte-identical (the event queue's own tie-break is insertion order
-    unsharded but barrier-merge order sharded, and destination protocol
-    actions do not commute under wire contention).  Arrivals with no
-    same-instant companion — the overwhelmingly common case — deliver
-    exactly like the unordered path.  The calibrated default stays
-    [false] so every published figure keeps its historical tie-break;
-    {!Pico_harness.Cluster} (not this module) forces it on for sharded
-    clusters.
+    - [Calibrated]: one shard, same-instant arrivals in event-queue
+      insertion order — the historical tie-break every published figure
+      is calibrated on;
+    - [Ordered]: one shard, same-instant arrivals in content order — the
+      comparator for shard-identity checks;
+    - [Sharded]: one shard per node, content-ordered arrivals (the
+      barrier merge of a sharded engine has no insertion order to
+      keep, so sharding always orders). *)
+type engine = Calibrated | Ordered | Sharded
 
-    On a non-flat topology, [ordered] additionally selects the
+(** [create ?topology ?engine ?nodes sim] — default {!Topology.Flat}
+    and [Calibrated].
+
+    Content order (the [Ordered] and [Sharded] engines): packets
+    reaching one node at the exact same instant are delivered as one
+    batch, sorted by [(src_node, send order)] — an order that is
+    identical whether the engine is sharded or not, which is what makes
+    [Ordered] and [Sharded] runs byte-identical (the event queue's own
+    tie-break is insertion order on one shard but barrier-merge order
+    sharded, and destination protocol actions do not commute under wire
+    contention).  Arrivals with no same-instant companion — the
+    overwhelmingly common case — deliver exactly like [Calibrated].  On
+    a non-flat topology content order additionally selects the
     {e decomposed} store-and-forward walk: the same hop sequence and
-    float arithmetic as the legacy per-packet walk, cut into per-shard
-    events (each link has a {!Pico_fabric.Shardmap} owner shard;
-    same-instant arrivals at one hop batch and flush in content order;
-    the next hop is scheduled from the link's grant instant) so sharded
-    engines can run congested topologies — and shard-on/off results
-    stay bit-identical.  Sizing (route memo slots, link ownership) is
-    taken from [sim]'s shard count at creation, so any sharding must be
-    initialised first.
+    float arithmetic as the per-packet walk, cut into per-shard events
+    (each link has a {!Pico_fabric.Shardmap} owner shard; same-instant
+    arrivals at one hop batch and flush in content order; the next hop
+    is scheduled from the link's grant instant).
+
+    [Sharded] partitions [sim] (which must have no events yet) into
+    [nodes] shards with {!Sim.shard_init}: lookahead [link_latency] on
+    [Flat]; on a fat-tree the hop floor ([switch_latency] + the wire
+    serialization floor) between Shardmap switch-owner shards, and
+    [link_latency] for every pure-host shard pair.  The request is
+    refused — the world runs [Ordered], which gives the same results —
+    when [nodes <= 1] (the default is 1) or the cost table's lookahead
+    is not positive and finite; {!engine} tells which engine runs.
     @raise Invalid_argument on an invalid topology *)
-val create : ?topology:Topology.t -> ?ordered:bool -> Sim.t -> t
+val create :
+  ?topology:Topology.t -> ?engine:engine -> ?nodes:int -> Sim.t -> t
+
+(** The engine this fabric runs: the requested one, except a refused
+    [Sharded] request, which runs [Ordered]. *)
+val engine : t -> engine
 
 val topology : t -> Topology.t
 
@@ -96,16 +114,16 @@ val set_train_abort : t -> node_id:int -> abort:(unit -> unit) -> unit
 
 (** [arm_train]/[disarm_train] tell the fabric that [node_id]'s HFI
     currently holds (resp. no longer holds) a batched packet train.  On
-    the decomposed walk (ordered, non-flat) contention aborts cannot be
-    called synchronously — the hook would mutate another shard's HFI
-    from the link owner's shard — so the owner {e schedules} the
-    registered abort hook onto each armed node's shard one
-    [link_latency] later instead, deduplicated per (node, instant).
-    Aborting a train is always semantics-preserving (batched and
-    per-packet paths are bit-exact), so the latency relative to the
+    the decomposed walk (content order, non-flat) contention aborts
+    cannot be called synchronously — the hook would mutate another
+    shard's HFI from the link owner's shard — so the owner
+    {e schedules} the registered abort hook onto each armed node's
+    shard one [link_latency] later instead, deduplicated per (node,
+    instant).  Aborting a train is always semantics-preserving (batched
+    and per-packet paths are bit-exact), so the latency relative to the
     legacy synchronous call only moves which of two identical-result
-    paths runs.  No-ops on flat or unordered fabrics, where the legacy
-    synchronous [fire every hook] path is kept. *)
+    paths runs.  No-ops on flat or [Calibrated] fabrics, where the
+    legacy synchronous [fire every hook] path is kept. *)
 val arm_train : t -> node_id:int -> unit
 
 val disarm_train : t -> node_id:int -> unit

@@ -61,6 +61,8 @@ type t = {
   fabric : Fabric.t;
   carry_payload : bool;
   rcv_entries : int;
+  (* Packet-train batching (see below), fixed at [create]. *)
+  batching : bool;
   wire : Resource.t;
   sdma : Sdma.t;
   contexts : (int, ctx) Hashtbl.t;
@@ -153,10 +155,6 @@ let rx_dispatch t (p : Wire.packet) =
    resource is held for the train's duration, so contention semantics and
    the paper's 4 kB/10 kB request-size gap are untouched.  Any contention
    visible at train start falls back to per-packet emission. *)
-
-(* Test hook: byte-identity of batched vs per-packet execution is checked
-   by running both settings (test_nic); never mutated inside a sweep. *)
-let batching = ref true
 
 let train_alone t =
   Hashtbl.length t.contexts <= 1 && Resource.idle t.wire
@@ -272,7 +270,7 @@ let rec crc_replay t ~work =
 let sdma_batch t (tx : Sdma.tx) =
   if
     not
-      (!batching
+      (t.batching
        && train_alone t
        && Sdma.in_flight t.sdma = 1
        && t.train = None
@@ -349,7 +347,7 @@ let sdma_batch t (tx : Sdma.tx) =
   end
 
 let create sim ~node ~fabric ?(carry_payload = false)
-    ?(rcv_entries = 2048) () =
+    ?(rcv_entries = 2048) ?(batching = true) () =
   let wire =
     Resource.create sim
       ~name:(Printf.sprintf "hfi%d-wire" node.Node.id)
@@ -367,7 +365,7 @@ let create sim ~node ~fabric ?(carry_payload = false)
     | None -> ()
   in
   let t =
-    { sim; node; fabric; carry_payload; rcv_entries; wire;
+    { sim; node; fabric; carry_payload; rcv_entries; batching; wire;
       sdma =
         Sdma.create sim ~n_engines:(Costs.current ()).sdma_engines ~ring_slots:64
           ~transmit;
@@ -582,7 +580,7 @@ let pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload () =
      end-to-end boundaries are result-determined across engine modes. *)
   let lg = Ledger.begin_ t.sim ~op:"pio/send" in
   (if
-    !batching
+    t.batching
     && dst_node <> node_id t
     && train_alone t
     && Sdma.in_flight t.sdma = 0

@@ -51,9 +51,17 @@ val note_path_degraded : t -> unit
     injector is installed). *)
 val fabric_fault_stats : t -> Fabric.fault_stats
 
+(** [create sim ~node ~fabric ()] attaches a new HFI to [fabric].
+    [batching] (default [true]) turns packet-train batching on for the
+    HFI's life: a multi-packet train provably alone on the HFI is charged
+    in closed form.  Batching is semantics-preserving — per-packet wire
+    overhead, engine overhead and contention fallback keep timings
+    bit-identical — so [~batching:false] exists only for the
+    equivalence tests, which build every scenario both ways and
+    compare. *)
 val create :
   Sim.t -> node:Node.t -> fabric:Fabric.t -> ?carry_payload:bool ->
-  ?rcv_entries:int -> unit -> t
+  ?rcv_entries:int -> ?batching:bool -> unit -> t
 
 val node : t -> Node.t
 
@@ -84,13 +92,6 @@ val rx_events : ctx -> rx_event Mailbox.t
 val rcvarray : ctx -> Rcvarray.t
 
 (** {2 Transmit paths} *)
-
-(** Packet-train batching switch (default [true]).  Batching is
-    semantics-preserving — per-packet wire overhead, engine overhead and
-    contention fallback keep timings bit-identical — so this exists only
-    for the equivalence tests, which run every scenario under both
-    settings and compare.  Never toggled inside a parallel sweep. *)
-val batching : bool ref
 
 (** [pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload ()] — programmed
     I/O: the {e calling process} pays per-packet CPU cost and wire
@@ -170,8 +171,8 @@ val expected_msgs_rx : t -> int
 (** PIO egress counters: packets stored through the send buffer and the
     payload bytes they carried (headers excluded).  Counted per fragment
     on both the per-packet and the batched paths, so the values are
-    independent of {!batching}.  With {!Sdma.bytes_submitted} these give
-    the PIO-vs-SDMA traffic split. *)
+    independent of {!create}'s [batching].  With {!Sdma.bytes_submitted}
+    these give the PIO-vs-SDMA traffic split. *)
 
 val pio_packets : t -> int
 

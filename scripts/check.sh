@@ -12,6 +12,23 @@ cd "$(dirname "$0")/.."
 
 jobs="${PICO_CHECK_JOBS:-4}"
 
+# How a world runs is chosen when it is built (Cluster.build ?engine,
+# Hfi.create ?batching), never by a process-wide switch: the only
+# module-level ref/Atomic bindings under lib/ are the cluster uid
+# allocator and the span and ledger recording flags.
+echo "== no process-global engine switches under lib/ =="
+globals="$(grep -rnE '^let [a-z_]+ = (ref|Atomic\.make)' lib --include='*.ml' \
+  | sed -E 's/:[0-9]+:let ([a-z_]+) = .*/:\1/' | LC_ALL=C sort)"
+expected="lib/engine/ledger.ml:flag
+lib/engine/span.ml:flag
+lib/harness/cluster.ml:next_uid"
+if [ "$globals" != "$expected" ]; then
+  echo "FAIL: module-level ref/Atomic bindings under lib/ are not exactly" >&2
+  echo "Cluster.next_uid, Span.flag and Ledger.flag; found:" >&2
+  echo "$globals" >&2
+  exit 1
+fi
+
 echo "== dune build @all =="
 dune build @all
 

@@ -97,8 +97,8 @@ let test_close_idempotent () =
 (* One small McKernel+HFI1 experiment with a large message: offloaded
    syscalls, PIO and SDMA sends, PSM rendezvous and MPI calls all leave
    ledgers.  [Experiment.run] drains them into [Breakdown]. *)
-let run_world ?(sharding = false) () =
-  let cl = Cluster.build Cluster.Mckernel_hfi ~n_nodes:2 ~sharding () in
+let run_world ?engine () =
+  let cl = Cluster.build Cluster.Mckernel_hfi ~n_nodes:2 ?engine () in
   let res =
     Experiment.run cl ~ranks_per_node:1 (fun comm ->
         let os = Pico_psm.Endpoint.os comm.Pico_mpi.Comm.ep in
@@ -187,19 +187,16 @@ let test_repeat_deterministic () =
 
 let test_shard_identity () =
   (* Same law as `picobench scale`'s probe: the ledger content a sharded
-     run records is identical to the unsharded run's (under the shared
-     ordered arrival tie-break). *)
+     run records is identical to the one-shard run's (under the shared
+     content-ordered arrival tie-break). *)
   with_ledgers true @@ fun () ->
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
-  let shot sharding =
+  let shot engine =
     ignore (Breakdown.take_ledgers ());
-    let fom = run_world ~sharding () in
+    let fom = run_world ~engine () in
     (Breakdown.take_fingerprint (), fom)
   in
-  let lg_off, fom_off = shot false in
-  let lg_on, fom_on = shot true in
+  let lg_off, fom_off = shot Cluster.Ordered in
+  let lg_on, fom_on = shot Cluster.Sharded in
   Alcotest.(check bool) "results bit-identical" true
     (bits fom_off = bits fom_on);
   Alcotest.(check string) "ledger content identical" lg_off lg_on

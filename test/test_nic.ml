@@ -461,30 +461,30 @@ let eager_hdr len =
       src_rank = 0 }
 
 let run_scenario ~batching f =
-  Hfi.batching := batching;
-  Fun.protect
-    ~finally:(fun () -> Hfi.batching := true)
-    (fun () ->
-      let sim = Sim.create () in
-      let fab = Fabric.create sim in
-      let n0 = Node.create_knl sim ~id:0 ~mem_scale:0.001 () in
-      let n1 = Node.create_knl sim ~id:1 ~mem_scale:0.001 () in
-      let h0 = Hfi.create sim ~node:n0 ~fabric:fab ~carry_payload:false () in
-      let h1 = Hfi.create sim ~node:n1 ~fabric:fab ~carry_payload:false () in
-      let ctx = Hfi.open_context h1 in
-      let complete = ref 0. in
-      let pio_done = ref 0. in
-      f sim h0 n0 (Hfi.ctx_id ctx) complete pio_done;
-      ignore (Sim.run sim);
-      ignore (Hfi.drain_completions h0);
-      { o_end = Sim.now sim;
-        o_complete = !complete;
-        o_pio_done = !pio_done;
-        o_packets = Fabric.packets_delivered fab;
-        o_bytes = Fabric.bytes_delivered fab;
-        o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire h0);
-        o_served = Pico_engine.Resource.total_served (Hfi.wire h0);
-        o_elided = Sim.events_elided sim })
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let n0 = Node.create_knl sim ~id:0 ~mem_scale:0.001 () in
+  let n1 = Node.create_knl sim ~id:1 ~mem_scale:0.001 () in
+  let h0 =
+    Hfi.create sim ~node:n0 ~fabric:fab ~carry_payload:false ~batching ()
+  in
+  let h1 =
+    Hfi.create sim ~node:n1 ~fabric:fab ~carry_payload:false ~batching ()
+  in
+  let ctx = Hfi.open_context h1 in
+  let complete = ref 0. in
+  let pio_done = ref 0. in
+  f sim h0 n0 (Hfi.ctx_id ctx) complete pio_done;
+  ignore (Sim.run sim);
+  ignore (Hfi.drain_completions h0);
+  { o_end = Sim.now sim;
+    o_complete = !complete;
+    o_pio_done = !pio_done;
+    o_packets = Fabric.packets_delivered fab;
+    o_bytes = Fabric.bytes_delivered fab;
+    o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire h0);
+    o_served = Pico_engine.Resource.total_served (Hfi.wire h0);
+    o_elided = Sim.events_elided sim }
 
 let check_equiv name scenario =
   let per_packet = run_scenario ~batching:false scenario in
@@ -735,44 +735,41 @@ let prop_batching_midtrain =
    train (Fabric fires every HFI's abort hook), and the batched run must
    stay bit-identical to the per-packet run at every stagger. *)
 let run_ft_scenario ~batching f =
-  Hfi.batching := batching;
-  Fun.protect
-    ~finally:(fun () -> Hfi.batching := true)
-    (fun () ->
-      let sim = Sim.create () in
-      let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
-      let fab = Fabric.create ~topology:topo sim in
-      let nodes =
-        Array.init 4 (fun id -> Node.create_knl sim ~id ~mem_scale:0.001 ())
-      in
-      let hfis =
-        Array.map
-          (fun node -> Hfi.create sim ~node ~fabric:fab ~carry_payload:false ())
-          nodes
-      in
-      let ctxs = Array.map (fun h -> Hfi.ctx_id (Hfi.open_context h)) hfis in
-      let complete = ref 0. in
-      let pio_done = ref 0. in
-      f sim hfis nodes ctxs complete pio_done;
-      ignore (Sim.run sim);
-      Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
-      let host_contended =
-        List.fold_left
-          (fun acc s ->
-            if s.Fabric.ts_tier = "host" then acc + s.Fabric.ts_contended
-            else acc)
-          0 (Fabric.tier_stats fab)
-      in
-      ( { o_end = Sim.now sim;
-          o_complete = !complete;
-          o_pio_done = !pio_done;
-          o_packets = Fabric.packets_delivered fab;
-          o_bytes = Fabric.bytes_delivered fab;
-          o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
-          o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
-          o_elided = Sim.events_elided sim },
-        Hfi.train_aborts hfis.(0),
-        host_contended ))
+  let sim = Sim.create () in
+  let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
+  let fab = Fabric.create ~topology:topo sim in
+  let nodes =
+    Array.init 4 (fun id -> Node.create_knl sim ~id ~mem_scale:0.001 ())
+  in
+  let hfis =
+    Array.map
+      (fun node ->
+        Hfi.create sim ~node ~fabric:fab ~carry_payload:false ~batching ())
+      nodes
+  in
+  let ctxs = Array.map (fun h -> Hfi.ctx_id (Hfi.open_context h)) hfis in
+  let complete = ref 0. in
+  let pio_done = ref 0. in
+  f sim hfis nodes ctxs complete pio_done;
+  ignore (Sim.run sim);
+  Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
+  let host_contended =
+    List.fold_left
+      (fun acc s ->
+        if s.Fabric.ts_tier = "host" then acc + s.Fabric.ts_contended
+        else acc)
+      0 (Fabric.tier_stats fab)
+  in
+  ( { o_end = Sim.now sim;
+      o_complete = !complete;
+      o_pio_done = !pio_done;
+      o_packets = Fabric.packets_delivered fab;
+      o_bytes = Fabric.bytes_delivered fab;
+      o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
+      o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
+      o_elided = Sim.events_elided sim },
+    Hfi.train_aborts hfis.(0),
+    host_contended )
 
 let check_ft_equiv name scenario =
   let per_packet, _, _ = run_ft_scenario ~batching:false scenario in
@@ -844,60 +841,56 @@ let test_batching_fat_tree_contention_abort () =
    must agree between the two runs. *)
 
 let run_ft_park_scenario ~batching lens =
-  Hfi.batching := batching;
-  Fun.protect
-    ~finally:(fun () -> Hfi.batching := true)
+  Costs.with_patched
+    (fun c ->
+      c.Costs.fault_horizon <- 1.0e6;
+      c.Costs.fault_link_down_interval <- 3.0e3;
+      c.Costs.fault_link_down_duration <- 2.0e3)
     (fun () ->
-      Costs.with_patched
-        (fun c ->
-          c.Costs.fault_horizon <- 1.0e6;
-          c.Costs.fault_link_down_interval <- 3.0e3;
-          c.Costs.fault_link_down_duration <- 2.0e3)
-        (fun () ->
-          let sim = Sim.create () in
-          let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
-          let fab = Fabric.create ~topology:topo sim in
-          let lf =
-            Pico_fabric.Linkfault.draw
-              ~rng:(Pico_engine.Rng.create ~seed:1L)
-              ~n_nodes:4 topo
-          in
-          Fabric.set_link_faults fab (Some lf);
-          let nodes =
-            Array.init 4 (fun id -> Node.create_knl sim ~id ~mem_scale:0.001 ())
-          in
-          let hfis =
-            Array.map
-              (fun node ->
-                Hfi.create sim ~node ~fabric:fab ~carry_payload:false ())
-              nodes
-          in
-          let ctxs = Array.map (fun h -> Hfi.ctx_id (Hfi.open_context h)) hfis in
-          let complete = ref 0. in
-          ft_train_scenario lens sim hfis nodes ctxs complete (ref 0.);
-          (* A competing flow on the other leaf keeps packets in flight
-             across the train's whole span, so a window opening on the
-             l1->n3 host link parks one mid-train. *)
-          Sim.spawn sim (fun () ->
-              for _ = 1 to 10 do
-                Hfi.pio_send hfis.(2) ~dst_node:3 ~dst_ctx:ctxs.(3)
-                  ~hdr:(eager_hdr 2048) ~len:2048 ();
-                Sim.delay sim 500.
-              done);
-          ignore (Sim.run sim);
-          Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
-          let fs = Fabric.fault_stats fab in
-          ( { o_end = Sim.now sim;
-              o_complete = !complete;
-              o_pio_done = 0.;
-              o_packets = Fabric.packets_delivered fab;
-              o_bytes = Fabric.bytes_delivered fab;
-              o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
-              o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
-              o_elided = Sim.events_elided sim },
-            fs.Fabric.fs_parks,
-            fs.Fabric.fs_park_ns,
-            Hfi.train_aborts hfis.(0) )))
+      let sim = Sim.create () in
+      let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
+      let fab = Fabric.create ~topology:topo sim in
+      let lf =
+        Pico_fabric.Linkfault.draw
+          ~rng:(Pico_engine.Rng.create ~seed:1L)
+          ~n_nodes:4 topo
+      in
+      Fabric.set_link_faults fab (Some lf);
+      let nodes =
+        Array.init 4 (fun id -> Node.create_knl sim ~id ~mem_scale:0.001 ())
+      in
+      let hfis =
+        Array.map
+          (fun node ->
+            Hfi.create sim ~node ~fabric:fab ~carry_payload:false ~batching ())
+          nodes
+      in
+      let ctxs = Array.map (fun h -> Hfi.ctx_id (Hfi.open_context h)) hfis in
+      let complete = ref 0. in
+      ft_train_scenario lens sim hfis nodes ctxs complete (ref 0.);
+      (* A competing flow on the other leaf keeps packets in flight
+         across the train's whole span, so a window opening on the
+         l1->n3 host link parks one mid-train. *)
+      Sim.spawn sim (fun () ->
+          for _ = 1 to 10 do
+            Hfi.pio_send hfis.(2) ~dst_node:3 ~dst_ctx:ctxs.(3)
+              ~hdr:(eager_hdr 2048) ~len:2048 ();
+            Sim.delay sim 500.
+          done);
+      ignore (Sim.run sim);
+      Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
+      let fs = Fabric.fault_stats fab in
+      ( { o_end = Sim.now sim;
+          o_complete = !complete;
+          o_pio_done = 0.;
+          o_packets = Fabric.packets_delivered fab;
+          o_bytes = Fabric.bytes_delivered fab;
+          o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
+          o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
+          o_elided = Sim.events_elided sim },
+        fs.Fabric.fs_parks,
+        fs.Fabric.fs_park_ns,
+        Hfi.train_aborts hfis.(0) ))
 
 let test_batching_midtrain_link_park () =
   let lens = List.init 10 (fun _ -> 8192) in
@@ -927,72 +920,54 @@ let test_batching_midtrain_link_park () =
    ordered run at every stagger, batched or per-packet. *)
 
 let run_ft_ordered_scenario ~sharded ~batching f =
-  Hfi.batching := batching;
-  Fun.protect
-    ~finally:(fun () -> Hfi.batching := true)
-    (fun () ->
-      let sim = Sim.create () in
-      let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
-      if sharded then begin
-        let c = Costs.current () in
-        let sm = Pico_fabric.Shardmap.create topo ~shards:4 in
-        let hop_floor =
-          c.Costs.switch_latency
-          +. (float_of_int c.Costs.packet_overhead_bytes
-              /. c.Costs.link_bandwidth)
-        in
-        Sim.shard_init sim ~shards:4
-          ~pair_bound:
-            (Pico_fabric.Shardmap.pair_bound sm
-               ~link_latency:c.Costs.link_latency ~hop_floor)
-          ~lookahead:
-            (Pico_fabric.Shardmap.lookahead sm
-               ~link_latency:c.Costs.link_latency ~hop_floor)
-          ()
-      end;
-      let fab = Fabric.create ~topology:topo ~ordered:true sim in
-      let nodes =
-        Array.init 4 (fun id ->
-            Sim.with_shard sim id (fun () ->
-                Node.create_knl sim ~id ~mem_scale:0.001 ()))
-      in
-      let hfis =
-        Array.mapi
-          (fun id node ->
-            Sim.with_shard sim id (fun () ->
-                Hfi.create sim ~node ~fabric:fab ~carry_payload:false ()))
-          nodes
-      in
-      let ctxs =
-        Array.mapi
-          (fun id h ->
-            Sim.with_shard sim id (fun () -> Hfi.ctx_id (Hfi.open_context h)))
-          hfis
-      in
-      let complete = ref 0. in
-      let pio_done = ref 0. in
-      Sim.spawn sim ~shard:0 (fun () -> Sim.shard_engage sim);
-      f sim hfis nodes ctxs complete pio_done;
-      ignore (Sim.run sim);
-      Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
-      let host_contended =
-        List.fold_left
-          (fun acc s ->
-            if s.Fabric.ts_tier = "host" then acc + s.Fabric.ts_contended
-            else acc)
-          0 (Fabric.tier_stats fab)
-      in
-      ( { o_end = Sim.now sim;
-          o_complete = !complete;
-          o_pio_done = !pio_done;
-          o_packets = Fabric.packets_delivered fab;
-          o_bytes = Fabric.bytes_delivered fab;
-          o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
-          o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
-          o_elided = Sim.events_elided sim },
-        Hfi.train_aborts hfis.(0),
-        host_contended,
-        Sim.barrier_rounds sim ))
+  let sim = Sim.create () in
+  let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
+  let engine = if sharded then Fabric.Sharded else Fabric.Ordered in
+  let fab = Fabric.create ~topology:topo ~engine ~nodes:4 sim in
+  Alcotest.(check bool) "sharding granted" sharded (Sim.sharded sim);
+  let nodes =
+    Array.init 4 (fun id ->
+        Sim.with_shard sim id (fun () ->
+            Node.create_knl sim ~id ~mem_scale:0.001 ()))
+  in
+  let hfis =
+    Array.mapi
+      (fun id node ->
+        Sim.with_shard sim id (fun () ->
+            Hfi.create sim ~node ~fabric:fab ~carry_payload:false ~batching
+              ()))
+      nodes
+  in
+  let ctxs =
+    Array.mapi
+      (fun id h ->
+        Sim.with_shard sim id (fun () -> Hfi.ctx_id (Hfi.open_context h)))
+      hfis
+  in
+  let complete = ref 0. in
+  let pio_done = ref 0. in
+  Sim.spawn sim ~shard:0 (fun () -> Sim.shard_engage sim);
+  f sim hfis nodes ctxs complete pio_done;
+  ignore (Sim.run sim);
+  Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
+  let host_contended =
+    List.fold_left
+      (fun acc s ->
+        if s.Fabric.ts_tier = "host" then acc + s.Fabric.ts_contended
+        else acc)
+      0 (Fabric.tier_stats fab)
+  in
+  ( { o_end = Sim.now sim;
+      o_complete = !complete;
+      o_pio_done = !pio_done;
+      o_packets = Fabric.packets_delivered fab;
+      o_bytes = Fabric.bytes_delivered fab;
+      o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
+      o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
+      o_elided = Sim.events_elided sim },
+    Hfi.train_aborts hfis.(0),
+    host_contended,
+    Sim.barrier_rounds sim )
 
 (* The shard pins are ignored on the unsharded comparator run, so one
    scenario body serves both engines. *)

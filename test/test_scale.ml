@@ -15,6 +15,9 @@ module Costs = Pico_costs.Costs
 module Cluster = Pico_harness.Cluster
 module Experiment = Pico_harness.Experiment
 module Fault = Pico_harness.Fault
+module Pool = Pico_harness.Pool
+module Engine_obs = Pico_harness.Engine_obs
+module Report = Pico_harness.Report
 module Comm = Pico_mpi.Comm
 module Collectives = Pico_mpi.Collectives
 module Mpi = Pico_mpi.Mpi
@@ -160,15 +163,13 @@ let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
     ~kind ~n_nodes ~rpn ~seed ~faults ~shard () =
   with_faults ~links:linkfaults faults @@ fun () ->
   (* Identity across shard-on/off only holds between runs sharing the
-     same same-instant arrival tie-break, so the unsharded comparator
-     opts into the content order that sharded builds force on.  On a
+     same same-instant arrival tie-break, so the one-shard comparator
+     runs [Ordered], the content order every sharded build uses.  On a
      fat-tree that also selects the decomposed hop walk for both runs
      (same code path sharded or not — only the event partitioning
      differs). *)
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
-  let cl = Cluster.build kind ~n_nodes ~topology ~sharding:shard ~seed () in
+  let engine = if shard then Cluster.Sharded else Cluster.Ordered in
+  let cl = Cluster.build kind ~n_nodes ~topology ~engine ~seed () in
   Fault.install cl;
   let res = Experiment.run cl ~ranks_per_node:rpn app in
   let sum g =
@@ -316,7 +317,7 @@ let test_shard_counters () =
   let kind = Cluster.Mckernel_hfi and n_nodes = 3 and rpn = 2
   and seed = 7L in
   with_faults false @@ fun () ->
-  let cl = Cluster.build kind ~n_nodes ~sharding:true ~seed () in
+  let cl = Cluster.build kind ~n_nodes ~engine:Cluster.Sharded ~seed () in
   let sim = cl.Cluster.sim in
   Alcotest.(check bool) "sharded" true (Sim.sharded sim);
   Alcotest.(check int) "one shard per node" n_nodes (Sim.shard_count sim);
@@ -333,7 +334,7 @@ let test_shard_counters () =
   Alcotest.(check bool) "idle epochs skipped" true (Sim.epochs_elided sim >= 0)
 
 let test_unsharded_counters () =
-  let cl = Cluster.build Cluster.Linux ~n_nodes:2 ~sharding:false ~seed:7L () in
+  let cl = Cluster.build Cluster.Linux ~n_nodes:2 ~seed:7L () in
   let sim = cl.Cluster.sim in
   ignore (Experiment.run cl ~ranks_per_node:1 app);
   Alcotest.(check bool) "not sharded" false (Sim.sharded sim);
@@ -348,8 +349,8 @@ let test_unsharded_counters () =
 let test_fat_tree_shards () =
   let topology = Topology.Fat_tree { radix = 2; oversub = 1 } in
   let cl =
-    Cluster.build Cluster.Mckernel ~n_nodes:4 ~topology ~sharding:true
-      ~seed:3L ()
+    Cluster.build Cluster.Mckernel ~n_nodes:4 ~topology
+      ~engine:Cluster.Sharded ~seed:3L ()
   in
   Alcotest.(check bool) "fat-tree cluster is sharded" true
     (Sim.sharded cl.Cluster.sim);
@@ -363,17 +364,67 @@ let test_fat_tree_shards () =
   Alcotest.(check string) "identical results" off.fp on.fp
 
 (* A sharding request on a genuinely unshardable config (single node) is
-   refused, counted, and the cluster still runs unsharded. *)
-let test_shard_refused () =
-  let before = Cluster.shard_refusals () in
-  let cl = Cluster.build Cluster.Linux ~n_nodes:1 ~sharding:true ~seed:1L () in
+   refused: the world runs [Ordered], records the refusal, and the figure
+   window it ran in reports it — while a granted request reports none. *)
+let test_refused_sharding () =
+  let refused_key figure =
+    List.assoc_opt (figure ^ "/engine/shards/refused") (Report.dump ())
+  in
+  let cl, res =
+    Engine_obs.measure ~figure:"refused_t" @@ fun () ->
+    let cl =
+      Cluster.build Cluster.Linux ~n_nodes:1 ~engine:Cluster.Sharded ~seed:1L
+        ()
+    in
+    (cl, Experiment.run cl ~ranks_per_node:2 app)
+  in
   Alcotest.(check bool) "single-node cluster is unsharded" false
     (Sim.sharded cl.Cluster.sim);
-  Alcotest.(check int) "refusal counted" (before + 1)
-    (Cluster.shard_refusals ());
-  let res = Experiment.run cl ~ranks_per_node:2 app in
+  Alcotest.(check bool) "runs content-ordered" true
+    (Fabric.engine cl.Cluster.fabric = Cluster.Ordered);
+  Alcotest.(check bool) "refusal recorded on the world" true
+    cl.Cluster.refused_sharding;
+  Alcotest.(check (option (float 0.))) "figure window counts it" (Some 1.)
+    (refused_key "refused_t");
   Alcotest.(check bool) "runs to completion" true
-    (res.Experiment.fom_ns > 0.)
+    (res.Experiment.fom_ns > 0.);
+  Engine_obs.measure ~figure:"granted_t" (fun () ->
+      let cl =
+        Cluster.build Cluster.Linux ~n_nodes:2 ~engine:Cluster.Sharded
+          ~seed:1L ()
+      in
+      ignore (Experiment.run cl ~ranks_per_node:1 app));
+  Alcotest.(check (option (float 0.))) "granted request reports none" None
+    (refused_key "granted_t")
+
+(* The engine belongs to the world it was built for: the same 4-node UMT
+   world built [Ordered], [Sharded] and [Calibrated], interleaved as jobs
+   of one pool, must reproduce the sequential run of its engine — no
+   job's choice leaks into a job running beside it — and the sharded
+   world the ordered one. *)
+let test_pool_interleaved_engines () =
+  let run engine =
+    let cl =
+      Cluster.build Cluster.Mckernel_hfi ~n_nodes:4 ~engine ~seed:0x5EEDL ()
+    in
+    let res =
+      Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
+    in
+    (engine, fingerprint cl res)
+  in
+  let engines = [ Cluster.Ordered; Cluster.Sharded; Cluster.Calibrated ] in
+  let sequential = List.map run engines in
+  Alcotest.(check string) "sharded = ordered"
+    (List.assoc Cluster.Ordered sequential)
+    (List.assoc Cluster.Sharded sequential);
+  let pooled =
+    Pool.with_pool ~jobs:2 (fun pool -> Pool.map pool run (engines @ engines))
+  in
+  List.iter
+    (fun (engine, fp) ->
+      Alcotest.(check string) "pooled = sequential"
+        (List.assoc engine sequential) fp)
+    pooled
 
 (* --- pinned results ---------------------------------------------------------
 
@@ -501,4 +552,6 @@ let () =
          Alcotest.test_case "unsharded counters" `Quick
            test_unsharded_counters;
          Alcotest.test_case "fat-tree shards" `Slow test_fat_tree_shards;
-         Alcotest.test_case "shard refusal" `Quick test_shard_refused ]) ]
+         Alcotest.test_case "shard refusal" `Quick test_refused_sharding;
+         Alcotest.test_case "engines interleaved in one pool" `Slow
+           test_pool_interleaved_engines ]) ]

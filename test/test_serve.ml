@@ -96,8 +96,8 @@ let test_zero_knob_no_split () =
 
 (* --- end-to-end runs ------------------------------------------------------- *)
 
-let run_world ?topology ?(sharding = false) kind ~n_nodes =
-  let cl = Cluster.build kind ~n_nodes ?topology ~sharding () in
+let run_world ?topology ?engine kind ~n_nodes =
+  let cl = Cluster.build kind ~n_nodes ?topology ?engine () in
   let out = Array.make n_nodes None in
   let plans =
     Serve.plans ~split:(fun () -> Rng.split cl.Cluster.rng) ~clients:1
@@ -171,14 +171,13 @@ let fingerprint (res : Experiment.result) out =
   Buffer.contents b
 
 let probe ?topology ~shard kind =
-  (* Shard-on/off identity only holds between runs sharing the ordered
-     same-instant arrival tie-break (sharded builds force it). *)
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
+  (* Shard-on/off identity only holds between runs sharing the
+     content-ordered same-instant arrival tie-break, so the one-shard
+     comparator runs [Ordered]. *)
   Costs.with_patched arm
   @@ fun () ->
-  let res, out = run_world ?topology ~sharding:shard kind ~n_nodes:4 in
+  let engine = if shard then Cluster.Sharded else Cluster.Ordered in
+  let res, out = run_world ?topology ~engine kind ~n_nodes:4 in
   fingerprint res out
 
 let test_shard_identity () =
