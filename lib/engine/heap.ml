@@ -56,6 +56,8 @@ let top_key h =
   if h.size = 0 then invalid_arg "Heap.top_key: empty heap";
   h.keys.(0)
 
+let below_top h key = h.size = 0 || key < h.keys.(0)
+
 let pop h =
   if h.size = 0 then invalid_arg "Heap.pop: empty heap";
   let v = h.vals.(0) in

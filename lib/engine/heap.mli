@@ -6,7 +6,8 @@
 
     The heap is laid out as three parallel flat arrays (keys / seqs /
     values), so the float keys stay unboxed and the hot-path operations
-    ([push], [top_key], [pop]) allocate nothing. *)
+    ([push], [below_top], [pop]) allocate nothing.  [top_key] returns a
+    float, which is boxed wherever the call is not inlined. *)
 
 type 'a t
 
@@ -22,6 +23,11 @@ val push : 'a t -> key:float -> seq:int -> 'a -> unit
 (** [top_key h] returns the smallest key without removing it.
     @raise Invalid_argument on an empty heap *)
 val top_key : 'a t -> float
+
+(** [below_top h key] is true when [key] sorts strictly before every key
+    in [h] (always when [h] is empty).  Unlike comparing against
+    {!top_key}, whose float result is boxed, it allocates nothing. *)
+val below_top : 'a t -> float -> bool
 
 (** [pop h] removes the minimum entry and returns its value.
     @raise Invalid_argument on an empty heap *)

@@ -63,6 +63,7 @@ type shard = {
   mutable sh_pool : cell array; (* free list of resume cells, as a stack *)
   mutable sh_pool_n : int;
   mutable sh_reused : int;
+  mutable sh_inline : int; (* wake-ups continued inline, see [wake_at] *)
   (* outgoing cross-shard events of the current epoch, reverse order *)
   mutable sh_out : pending list;
   mutable sh_order : int;
@@ -92,6 +93,7 @@ type t = {
   mutable cur : shard; (* shard whose event is executing, inside [run] *)
   mutable ambient : shard; (* target outside [run], see [with_shard] *)
   mutable in_run : bool;
+  mutable until : float; (* the executing [run]'s limit, [infinity] if none *)
   mutable engaged : bool; (* epoch-barrier mode active *)
   mutable engage_req : bool;
   mutable lookahead : float; (* 0 until [shard_init] *)
@@ -105,22 +107,21 @@ type t = {
 }
 
 type _ Effect.t +=
-  | Delay : t * float -> unit Effect.t
   | Until : t * float -> unit Effect.t
   | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
 
 let make_shard sh_id =
   { sh_id; sh_queue = Heap.create (); sh_seq = 0; sh_now = 0.;
     sh_processed = 0; sh_peak = 0; sh_pool = [||]; sh_pool_n = 0;
-    sh_reused = 0; sh_out = []; sh_order = 0 }
+    sh_reused = 0; sh_inline = 0; sh_out = []; sh_order = 0 }
 
 let create () =
   let sh = make_shard 0 in
   { now = 0.; current = None; running = false; elided = 0; spans = [];
     dropped_spans = 0; ledgers = []; steps = []; label = "";
     shards = [| sh |]; cur = sh; ambient = sh; in_run = false;
-    engaged = false; engage_req = false; lookahead = 0.; pair_bound = None;
-    epoch_end = 0.; barrier_rounds = 0; epochs_elided = 0; xshard = 0 }
+    until = infinity; engaged = false; engage_req = false; lookahead = 0.;
+    pair_bound = None; epoch_end = 0.; barrier_rounds = 0; epochs_elided = 0; xshard = 0 }
 
 let now t = t.now
 
@@ -261,8 +262,8 @@ let in_process t = t.running
 
 let current_name t = t.current
 
-(* Run [f] as a process body: install the effect handler that turns Delay,
-   Until and Suspend into event-queue operations.  Process code only
+(* Run [f] as a process body: install the effect handler that turns Until
+   and Suspend into event-queue operations.  Process code only
    runs inside [run], so [t.cur] is the process's shard. *)
 let handle_process t name f =
   let open Effect.Deep in
@@ -279,15 +280,6 @@ let handle_process t name f =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Delay (t', dt) when t' == t ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let c = acquire_cell t in
-                c.cont <- Some k;
-                c.cname <- some_name;
-                push_shard t t.cur ~tail:false (t.now +. dt) c.boxed;
-                t.running <- false;
-                t.current <- None)
           | Until (t', time) when t' == t ->
             Some
               (fun (k : (a, _) continuation) ->
@@ -326,17 +318,55 @@ let spawn t ?(name = "proc") ?shard f =
   schedule_to t (target t shard) ~tail:false t.now
     (Call (fun () -> handle_process t name f))
 
+(* [k] sorts strictly before every event of shards [i..]. *)
+let rec before_all k shards i =
+  i = Array.length shards
+  || (Heap.below_top shards.(i).sh_queue k && before_all k shards (i + 1))
+
+(* Inline continuation.  A blocked process's wake-up at [k] is pushed
+   with its shard's largest sequence number, so when [k] sorts strictly
+   before every key the run loop could pop first — the executing shard's
+   top key and, in the merged prologue, every other shard's too (in an
+   epoch round only the executing shard runs, up to [epoch_end]) — the
+   loop would pop that very event next and resume the process.  Then the
+   process keeps running instead, and this does the pushed-then-popped
+   event's bookkeeping: the sequence number, the heap high-water mark,
+   the clock and the processed count.  No [run] limit may fall in between
+   ([k <= until]), and a pending [shard_engage] takes the slow path so
+   the loop switches modes at the same event.  Both paths live in one
+   function so the boxed [k] is allocated once, by the caller. *)
+let wake_at t k =
+  let sh = t.cur in
+  if
+    t.in_run
+    && Heap.below_top sh.sh_queue k
+    && k <= t.until
+    && (if t.engaged then k < t.epoch_end
+        else
+          (not t.engage_req)
+          && (Array.length t.shards = 1 || before_all k t.shards 0))
+  then begin
+    sh.sh_seq <- sh.sh_seq + 1;
+    let d = Heap.length sh.sh_queue + 1 in
+    if d > sh.sh_peak then sh.sh_peak <- d;
+    t.now <- k;
+    if t.engaged then sh.sh_now <- k;
+    sh.sh_processed <- sh.sh_processed + 1;
+    sh.sh_inline <- sh.sh_inline + 1
+  end
+  else Effect.perform (Until (t, k))
+
 let delay t dt =
   if not t.running then raise Not_in_process;
   if not (Float.is_finite dt) || dt < 0. then
     invalid_arg "Sim.delay: negative or non-finite delay";
-  Effect.perform (Delay (t, dt))
+  wake_at t (t.now +. dt)
 
 let delay_until t time =
   if not t.running then raise Not_in_process;
   if not (Float.is_finite time) then
     invalid_arg "Sim.delay_until: non-finite time";
-  Effect.perform (Until (t, time))
+  wake_at t (if time < t.now then t.now else time)
 
 let suspend t register =
   if not t.running then raise Not_in_process;
@@ -404,8 +434,7 @@ let merge_pending t =
         t.xshard <- t.xshard + 1)
       sorted
 
-let run_loop ?until t =
-  let count = ref 0 in
+let run_loop t =
   let continue_ = ref true in
   (* Merged prologue: one global time-ordered loop over all shard heaps
      — the whole run on one shard.  Zero-latency cross-shard couplings
@@ -418,16 +447,16 @@ let run_loop ?until t =
     else begin
       let sh = t.shards.(i) in
       let key = Heap.top_key sh.sh_queue in
-      match until with
-      | Some limit when key > limit ->
-        t.now <- limit;
+      if key > t.until then begin
+        t.now <- t.until;
         continue_ := false
-      | _ ->
+      end
+      else begin
         t.now <- key;
         sh.sh_processed <- sh.sh_processed + 1;
-        incr count;
         if t.cur != sh then t.cur <- sh;
         exec_event t (Heap.pop sh.sh_queue)
+      end
     end
   done;
   if !continue_ && t.engage_req then begin
@@ -448,14 +477,11 @@ let run_loop ?until t =
           if Heap.is_empty sh.sh_queue then go := false
           else begin
             let k = Heap.top_key sh.sh_queue in
-            if
-              k >= eend || (match until with Some u -> k > u | None -> false)
-            then go := false
+            if k >= eend || k > t.until then go := false
             else begin
               t.now <- k;
               sh.sh_now <- k;
               sh.sh_processed <- sh.sh_processed + 1;
-              incr count;
               exec_event t (Heap.pop sh.sh_queue)
             end
           end
@@ -467,36 +493,37 @@ let run_loop ?until t =
       let mk =
         if i < 0 then infinity else Heap.top_key t.shards.(i).sh_queue
       in
-      match until with
-      | Some limit when mk > limit ->
-        t.now <- limit;
+      if mk > t.until then begin
+        t.now <- t.until;
         continue_ := false
-      | _ ->
-        if mk = infinity then begin
-          continue_ := false;
-          t.now <-
-            Array.fold_left (fun a sh -> Float.max a sh.sh_now) t.now t.shards
-        end
-        else begin
-          (* Skip empty epochs: jump the next round to the first due
-             event.  Partition choice only — event times are untouched. *)
-          if mk > eend then
-            t.epochs_elided <-
-              t.epochs_elided + int_of_float ((mk -. eend) /. t.lookahead);
-          epoch_base := Float.max eend mk
-        end
+      end
+      else if mk = infinity then begin
+        continue_ := false;
+        t.now <-
+          Array.fold_left (fun a sh -> Float.max a sh.sh_now) t.now t.shards
+      end
+      else begin
+        (* Skip empty epochs: jump the next round to the first due
+           event.  Partition choice only — event times are untouched. *)
+        if mk > eend then
+          t.epochs_elided <-
+            t.epochs_elided + int_of_float ((mk -. eend) /. t.lookahead);
+        epoch_base := Float.max eend mk
+      end
     done
-  end;
-  !count
-
-let run ?until t =
-  t.in_run <- true;
-  match run_loop ?until t with
-  | n -> t.in_run <- false; n
-  | exception e -> t.in_run <- false; raise e
+  end
 
 let events_processed t =
   Array.fold_left (fun a sh -> a + sh.sh_processed) 0 t.shards
+
+(* The count covers inline wake-ups: they bump [sh_processed] too. *)
+let run ?(until = infinity) t =
+  let before = events_processed t in
+  t.in_run <- true;
+  t.until <- until;
+  match run_loop t with
+  | () -> t.in_run <- false; events_processed t - before
+  | exception e -> t.in_run <- false; raise e
 
 let note_elided t n = if n > 0 then t.elided <- t.elided + n
 
@@ -506,6 +533,8 @@ let peak_heap_depth t =
   Array.fold_left (fun a sh -> max a sh.sh_peak) 0 t.shards
 
 let cells_reused t = Array.fold_left (fun a sh -> a + sh.sh_reused) 0 t.shards
+
+let inline_wakes t = Array.fold_left (fun a sh -> a + sh.sh_inline) 0 t.shards
 
 let shard_count t = if sharded t then Array.length t.shards else 0
 

@@ -76,7 +76,8 @@ val yield : t -> unit
 (** [run t] processes events until the queue is empty.
     [run ~until t] stops (with time set to [until]) as soon as the next event
     would fire strictly after [until].
-    Returns the number of events processed. *)
+    Returns the number of events processed, wake-ups continued inline
+    included (see {!inline_wakes}). *)
 val run : ?until:float -> t -> int
 
 (** Number of events processed so far over all [run] calls. *)
@@ -96,6 +97,14 @@ val peak_heap_depth : t -> int
 (** Number of process resumptions served from the free list of resume
     cells (i.e. closure allocations avoided on the [delay] hot path). *)
 val cells_reused : t -> int
+
+(** Number of [delay]/[delay_until] wake-ups continued inline: the
+    wake-up sorted strictly before every event the run loop could pop
+    first, so the process kept running without a heap round trip.  Each
+    still counts as one processed event and one heap push, so
+    {!events_processed} and {!peak_heap_depth} are those of the
+    push-then-pop it replaces. *)
+val inline_wakes : t -> int
 
 (** {2 Conservative event sharding}
 

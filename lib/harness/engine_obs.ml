@@ -8,6 +8,7 @@ type window = {
   mutable events : int;
   mutable elided : int;
   mutable reused : int;
+  mutable inline : int;
   mutable peak : int;
   mutable sims : int;
   (* Sharded-engine counters; all stay zero when sharding is off, and
@@ -29,7 +30,7 @@ type window = {
 let mutex = Mutex.create ()
 
 let win =
-  { events = 0; elided = 0; reused = 0; peak = 0; sims = 0;
+  { events = 0; elided = 0; reused = 0; inline = 0; peak = 0; sims = 0;
     sharded_sims = 0; shards = 0; barriers = 0; epochs_elided = 0;
     xshard = 0; shard_ev_min = max_int; shard_ev_max = 0;
     dropped_spans = 0; refused = 0 }
@@ -43,16 +44,18 @@ let note_world (cl : Cluster.t) =
   let events = Sim.events_processed sim in
   let elided = Sim.events_elided sim in
   (* Aggregated across shards by the accessors themselves: [cells_reused]
-     sums the per-shard pools, [peak_heap_depth] maxes the per-shard
-     heaps — a per-shard high-water mark is meaningful, a sum of
-     high-water marks is not. *)
+     and [inline_wakes] sum the per-shard counts, [peak_heap_depth] maxes
+     the per-shard heaps — a per-shard high-water mark is meaningful, a
+     sum of high-water marks is not. *)
   let reused = Sim.cells_reused sim in
+  let inline = Sim.inline_wakes sim in
   let peak = Sim.peak_heap_depth sim in
   let shard_ev = Sim.shard_events sim in
   Mutex.lock mutex;
   win.events <- win.events + events;
   win.elided <- win.elided + elided;
   win.reused <- win.reused + reused;
+  win.inline <- win.inline + inline;
   if peak > win.peak then win.peak <- peak;
   win.sims <- win.sims + 1;
   win.dropped_spans <- win.dropped_spans + dropped;
@@ -83,6 +86,7 @@ let reset () =
   win.events <- 0;
   win.elided <- 0;
   win.reused <- 0;
+  win.inline <- 0;
   win.peak <- 0;
   win.sims <- 0;
   win.sharded_sims <- 0;
@@ -116,7 +120,8 @@ let measure ~figure f =
   Breakdown.flush ~figure;
   Mutex.lock mutex;
   let events = win.events and elided = win.elided in
-  let reused = win.reused and peak = win.peak and sims = win.sims in
+  let reused = win.reused and inline = win.inline in
+  let peak = win.peak and sims = win.sims in
   let sharded_sims = win.sharded_sims and shards = win.shards in
   let barriers = win.barriers and epochs_elided = win.epochs_elided in
   let xshard = win.xshard in
@@ -128,6 +133,7 @@ let measure ~figure f =
   Report.record ~figure ~metric:"engine/events" (fi events);
   Report.record ~figure ~metric:"engine/events_elided" (fi elided);
   Report.record ~figure ~metric:"engine/cells_reused" (fi reused);
+  Report.record ~figure ~metric:"engine/inline_wakes" (fi inline);
   Report.record ~figure ~metric:"engine/peak_heap" (fi peak);
   Report.record ~figure ~metric:"engine/sims" (fi sims);
   Report.record ~figure ~metric:"engine/host_seconds" host;

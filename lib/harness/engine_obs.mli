@@ -12,6 +12,9 @@
       batching (packet trains charged in closed form)
     - [engine/cells_reused]: process resumptions served from the
       simulator's free list (closure allocations avoided)
+    - [engine/inline_wakes]: [delay] wake-ups that were the next event
+      anyway, so the process continued without a heap round trip (still
+      counted in [engine/events])
     - [engine/peak_heap]: deepest event queue over the figure's sims
     - [engine/sims]: number of simulated worlds
     - [engine/host_seconds]: host wall-clock for the figure
@@ -25,9 +28,10 @@
     epochs elided by skip-ahead, cross-shard events merged at barriers,
     and the min/max per-shard event count (load balance).  These keys
     are zero-omitted: absent whenever sharding is off, so the default
-    JSON stays byte-identical.  [engine/cells_reused] and
-    [engine/peak_heap] aggregate across shards inside {!Sim} (sum of
-    per-shard pools, max of per-shard high-water marks).
+    JSON stays byte-identical.  [engine/cells_reused],
+    [engine/inline_wakes] and [engine/peak_heap] aggregate across shards
+    inside {!Sim} (sums of per-shard counts, max of per-shard high-water
+    marks).
 
     A world whose [Sharded] request was refused (a genuinely unshardable
     config, see {!Cluster.build}) adds to the zero-omitted

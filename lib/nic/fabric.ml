@@ -203,8 +203,8 @@ let link_of t hop =
     l
 
 let wire_time len =
-  float_of_int (len + (Costs.current ()).packet_overhead_bytes)
-  /. (Costs.current ()).link_bandwidth
+  let c = Costs.current () in
+  float_of_int (len + c.packet_overhead_bytes) /. c.link_bandwidth
 
 (* --- fabric fault domain (DESIGN.md section 15) --- *)
 

@@ -95,9 +95,10 @@ let bar_ctx_window = Addr.mib 2
 
 let bar_pa t = bar_region_base + (t.node.Node.id * bar_region_stride)
 
-let wire_time len =
-  float_of_int (len + (Costs.current ()).packet_overhead_bytes)
-  /. (Costs.current ()).link_bandwidth
+(* [c] is the caller's [Costs.current ()], looked up once per request
+   or train rather than twice per packet. *)
+let wire_time (c : Costs.t) len =
+  float_of_int (len + c.packet_overhead_bytes) /. c.link_bandwidth
 
 let place_expected t ctx ~tid_base ~offset ~frag_len ~payload =
   (* Walk the programmed run, skipping [offset] bytes, writing the
@@ -288,7 +289,7 @@ let sdma_batch t (tx : Sdma.tx) =
     let cur = ref (Sim.now t.sim) in
     for i = 0 to n - 1 do
       let a = !cur +. c.Costs.sdma_request_overhead in
-      let b = a +. wire_time reqs.(i).Sdma.len in
+      let b = a +. wire_time c reqs.(i).Sdma.len in
       t1.(i) <- a;
       t2.(i) <- b;
       cur := b
@@ -320,11 +321,11 @@ let sdma_batch t (tx : Sdma.tx) =
           per-packet boundary and continue with the real per-packet code
           (wire contention with the aborter included). *)
        let per_packet j =
-         Resource.use t.wire ~work:(wire_time reqs.(j).Sdma.len) (fun () -> ())
+         Resource.use t.wire ~work:(wire_time c reqs.(j).Sdma.len) (fun () -> ())
        in
        let rest first =
          for j = first to n - 1 do
-           Sim.delay t.sim (Costs.current ()).Costs.sdma_request_overhead;
+           Sim.delay t.sim c.Costs.sdma_request_overhead;
            per_packet j
          done
        in
@@ -359,9 +360,10 @@ let create sim ~node ~fabric ?(carry_payload = false)
   let tref = ref None in
   let transmit (req : Sdma.request) =
     (match !tref with Some t -> maybe_abort_train t | None -> ());
-    Resource.use wire ~work:(wire_time req.len) (fun () -> ());
+    let work = wire_time (Costs.current ()) req.len in
+    Resource.use wire ~work (fun () -> ());
     match !tref with
-    | Some t -> crc_replay t ~work:(wire_time req.len)
+    | Some t -> crc_replay t ~work
     | None -> ()
   in
   let t =
@@ -481,7 +483,7 @@ let pio_train t ~dst_node ~dst_ctx ~hdr ~len ?payload c =
        else
          c.Costs.pio_packet_overhead
          +. (float_of_int frag /. c.Costs.pio_cpu_bandwidth));
-    work.(i) <- wire_time frag;
+    work.(i) <- wire_time c frag;
     let a = !cur +. delay.(i) in
     let b = a +. work.(i) in
     t1.(i) <- a;
@@ -599,7 +601,7 @@ let pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload () =
   if len = 0 then begin
     (* Zero-byte message: a single header-only packet. *)
     Sim.delay t.sim c.pio_packet_overhead;
-    use_wire (wire_time 0);
+    use_wire (wire_time c 0);
     t.pio_packets <- t.pio_packets + 1;
     Fabric.send t.fabric
       { src_node = node_id t; dst_node; dst_ctx; wire_len = Wire.header_bytes;
@@ -613,7 +615,7 @@ let pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload () =
         Sim.delay t.sim
           (c.pio_packet_overhead
            +. (float_of_int frag /. c.pio_cpu_bandwidth));
-        use_wire (wire_time frag);
+        use_wire (wire_time c frag);
         t.pio_packets <- t.pio_packets + 1;
         t.pio_bytes <- t.pio_bytes + frag;
         let payload =

@@ -276,15 +276,275 @@ let test_sim_obs_counters () =
       for _ = 1 to 100 do
         Sim.delay sim 1.
       done);
+  let n = Sim.run sim in
+  (* A lone process's wake-up is always the next event: all 100 delays
+     continue inline and take no resume cell, yet each still counts as
+     one processed event and one heap push. *)
+  Alcotest.(check int) "inline wakes" 100 (Sim.inline_wakes sim);
+  Alcotest.(check int) "lone: no cell taken" 0 (Sim.cells_reused sim);
+  Alcotest.(check int) "events counted" 101 (Sim.events_processed sim);
+  Alcotest.(check int) "run counts inline wakes" 101 n;
+  Alcotest.(check int) "peak depth" 1 (Sim.peak_heap_depth sim);
+  (* Two processes in lockstep: every wake-up ties the other's queued
+     one, so each goes through the heap.  The first two delays allocate
+     a cell; the remaining 198 reuse one from the pool. *)
+  let sim = Sim.create () in
+  for _ = 1 to 2 do
+    Sim.spawn sim (fun () ->
+        for _ = 1 to 100 do
+          Sim.delay sim 1.
+        done)
+  done;
   ignore (Sim.run sim);
-  (* The first delay allocates a resume cell; the remaining 99 reuse it. *)
-  Alcotest.(check int) "cells reused" 99 (Sim.cells_reused sim);
-  Alcotest.(check bool) "peak depth" true (Sim.peak_heap_depth sim >= 1);
-  Alcotest.(check bool) "events counted" true (Sim.events_processed sim >= 100);
+  Alcotest.(check int) "interleaved: no inline wake" 0 (Sim.inline_wakes sim);
+  Alcotest.(check int) "interleaved: cells reused" 198 (Sim.cells_reused sim);
+  Alcotest.(check int) "interleaved: events" 202 (Sim.events_processed sim);
+  Alcotest.(check int) "interleaved: peak depth" 2 (Sim.peak_heap_depth sim);
   Sim.note_elided sim 5;
   Sim.note_elided sim (-3);
   Sim.note_elided sim 0;
   Alcotest.(check int) "elided (negatives ignored)" 5 (Sim.events_elided sim)
+
+let test_sim_wake_at_until () =
+  let sim = Sim.create () in
+  let woke = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 10.;
+      woke := Sim.now sim :: !woke;
+      Sim.delay_until sim 20.;
+      woke := Sim.now sim :: !woke);
+  let n = Sim.run ~until:10. sim in
+  Alcotest.(check (list (float 0.))) "wake at until ran" [ 10. ] !woke;
+  Alcotest.(check int) "spawn + wake" 2 n;
+  check_float "now" 10. (Sim.now sim);
+  Alcotest.(check int) "continued inline" 1 (Sim.inline_wakes sim);
+  (* The second wake-up lay past the first run's limit, so it was queued
+     and now comes off the heap, exactly at the new limit. *)
+  ignore (Sim.run ~until:20. sim);
+  Alcotest.(check (list (float 0.))) "queued wake at until ran" [ 20.; 10. ]
+    !woke;
+  Alcotest.(check int) "queued, not inline" 1 (Sim.inline_wakes sim)
+
+let test_sim_wake_past_until () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 5.;
+      log := Sim.now sim :: !log;
+      Sim.delay sim 10.;
+      log := Sim.now sim :: !log);
+  ignore (Sim.run ~until:12. sim);
+  Alcotest.(check (list (float 0.))) "stopped before the late wake" [ 5. ]
+    !log;
+  check_float "now = until" 12. (Sim.now sim);
+  Alcotest.(check int) "only the first wake inline" 1 (Sim.inline_wakes sim);
+  let n = Sim.run sim in
+  Alcotest.(check (list (float 0.))) "resumed" [ 15.; 5. ] !log;
+  Alcotest.(check int) "one more event" 1 n;
+  check_float "final time" 15. (Sim.now sim)
+
+let test_sim_equal_key_via_heap () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.at sim 5. (fun () -> log := "callback" :: !log);
+      (* Same key as the queued callback, larger sequence number: the
+         callback runs first, so this wake-up must not continue inline. *)
+      Sim.delay sim 5.;
+      log := "process" :: !log);
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "queued event first"
+    [ "callback"; "process" ] (List.rev !log);
+  Alcotest.(check int) "no inline wake" 0 (Sim.inline_wakes sim)
+
+let test_sim_yield_same_instant () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.at sim (Sim.now sim) (fun () -> log := "callback" :: !log);
+      Sim.yield sim;
+      log := "after yield" :: !log;
+      (* Nothing else is due now: this yield continues inline. *)
+      Sim.yield sim;
+      log := "after lone yield" :: !log);
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "yield lets the callback run"
+    [ "callback"; "after yield"; "after lone yield" ] (List.rev !log);
+  Alcotest.(check int) "only the lone yield inline" 1 (Sim.inline_wakes sim)
+
+(* On several shards a wake-up must also sort before every other
+   shard's top key in the merged prologue, and stay below the epoch
+   horizon in epoch rounds, where another shard may still deliver an
+   earlier event at the barrier. *)
+let test_sim_sharded_inline () =
+  let log = ref [] in
+  let note sim what = log := (what, Sim.now sim) :: !log in
+  let sim = Sim.create () in
+  Sim.shard_init sim ~shards:2 ~lookahead:100. ();
+  Sim.at sim ~shard:1 5. (fun () -> note sim "shard 1");
+  Sim.spawn sim ~shard:0 (fun () ->
+      Sim.delay sim 10.;
+      note sim "shard 0";
+      Sim.delay sim 10.;
+      note sim "shard 0 again");
+  ignore (Sim.run sim);
+  Alcotest.(check (list (pair string (float 0.))))
+    "prologue order"
+    [ ("shard 1", 5.); ("shard 0", 10.); ("shard 0 again", 20.) ]
+    (List.rev !log);
+  Alcotest.(check int) "prologue: last wake inline" 1 (Sim.inline_wakes sim);
+  log := [];
+  let sim = Sim.create () in
+  Sim.shard_init sim ~shards:2 ~lookahead:10. ();
+  Sim.spawn sim ~shard:0 (fun () ->
+      Sim.delay sim 3.;
+      note sim "p0";
+      Sim.delay sim 1.;
+      note sim "p0";
+      (* Past the epoch horizon: must wait for the barrier merge. *)
+      Sim.delay sim 13.;
+      note sim "p0");
+  Sim.spawn sim ~shard:1 (fun () ->
+      Sim.shard_engage sim;
+      Sim.delay sim 5.;
+      Sim.at sim ~shard:0 15. (fun () -> note sim "arrival"));
+  ignore (Sim.run sim);
+  Alcotest.(check (list (pair string (float 0.))))
+    "epoch order"
+    [ ("p0", 3.); ("p0", 4.); ("arrival", 15.); ("p0", 17.) ]
+    (List.rev !log);
+  Alcotest.(check int) "epoch: one wake inline" 1 (Sim.inline_wakes sim);
+  Alcotest.(check int) "events" 7 (Sim.events_processed sim)
+
+(* Ordering law: random multi-process programs observe the same
+   [(time, process, step)] trace as a list-based reference scheduler
+   that pops events in [(key, seq)] order with one sequence number per
+   scheduled event — whether a wake-up goes through the heap or
+   continues inline.  The run is cut into [run ~until] slices, and no
+   step may be observed past its slice's limit. *)
+type op =
+  | Delay of int
+  | Until of int
+  | Yield
+  | After of int (* schedule a logging callback *)
+  | Suspend (* park until some Wake *)
+  | Wake (* resume the longest-parked process, if any *)
+
+let gen_op =
+  QCheck2.Gen.(
+    frequency
+      [ (3, map (fun d -> Delay d) (int_range 0 3));
+        (2, map (fun a -> Until a) (int_range 0 12));
+        (1, pure Yield);
+        (2, map (fun d -> After d) (int_range 0 3));
+        (1, pure Suspend);
+        (1, pure Wake) ])
+
+let gen_world =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 1 4) (list_size (int_range 0 8) gen_op))
+      (list_size (int_range 0 3) (int_range 0 15)))
+
+let print_world =
+  let op = function
+    | Delay d -> Printf.sprintf "Delay %d" d
+    | Until a -> Printf.sprintf "Until %d" a
+    | Yield -> "Yield"
+    | After d -> Printf.sprintf "After %d" d
+    | Suspend -> "Suspend"
+    | Wake -> "Wake"
+  in
+  QCheck2.Print.(pair (list (list op)) (list int))
+
+(* Steps at or above this id are callbacks scheduled by step [id - cb]. *)
+let cb = 1000
+
+let sim_trace progs untils =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note pid step = log := (Sim.now sim, pid, step) :: !log in
+  let parked = Queue.create () in
+  List.iteri
+    (fun pid ops ->
+      Sim.spawn sim (fun () ->
+          List.iteri
+            (fun i op ->
+              note pid i;
+              match op with
+              | Delay d -> Sim.delay sim (float_of_int d)
+              | Until a -> Sim.delay_until sim (float_of_int a)
+              | Yield -> Sim.yield sim
+              | After d ->
+                Sim.after sim (float_of_int d) (fun () -> note pid (cb + i))
+              | Suspend -> Sim.suspend sim (fun r -> Queue.push r parked)
+              | Wake -> (
+                match Queue.take_opt parked with Some r -> r () | None -> ()))
+            ops;
+          note pid (List.length ops)))
+    progs;
+  let within = ref true in
+  let events = ref 0 in
+  List.iter
+    (fun u ->
+      let u = float_of_int u in
+      events := !events + Sim.run ~until:u sim;
+      List.iter (fun (time, _, _) -> if time > u then within := false) !log)
+    (List.sort compare untils);
+  events := !events + Sim.run sim;
+  (List.rev !log, !events, !within)
+
+type mevent = Resume of int * int (* process, next step *) | Callback of int * int
+
+let model_trace progs =
+  let progs = Array.of_list (List.map Array.of_list progs) in
+  let queue = ref [] and seq = ref 0 and now = ref 0. in
+  let log = ref [] and events = ref 0 in
+  let parked = Queue.create () in
+  let push key ev =
+    queue := (Float.max key !now, !seq, ev) :: !queue;
+    incr seq
+  in
+  let rec step pid i =
+    log := (!now, pid, i) :: !log;
+    if i < Array.length progs.(pid) then
+      match progs.(pid).(i) with
+      | Delay d -> push (!now +. float_of_int d) (Resume (pid, i + 1))
+      | Until a -> push (float_of_int a) (Resume (pid, i + 1))
+      | Yield -> push !now (Resume (pid, i + 1))
+      | After d ->
+        push (!now +. float_of_int d) (Callback (pid, cb + i));
+        step pid (i + 1)
+      | Suspend -> Queue.push (pid, i + 1) parked
+      | Wake ->
+        (match Queue.take_opt parked with
+         | Some (p, j) -> push !now (Resume (p, j))
+         | None -> ());
+        step pid (i + 1)
+  in
+  Array.iteri (fun pid _ -> push 0. (Resume (pid, 0))) progs;
+  let rec loop () =
+    match List.sort compare (List.map (fun (k, s, _) -> (k, s)) !queue) with
+    | [] -> ()
+    | (k, s) :: _ ->
+      let _, _, ev = List.find (fun (_, s', _) -> s' = s) !queue in
+      queue := List.filter (fun (_, s', _) -> s' <> s) !queue;
+      now := k;
+      incr events;
+      (match ev with
+       | Resume (pid, i) -> step pid i
+       | Callback (pid, id) -> log := (k, pid, id) :: !log);
+      loop ()
+  in
+  loop ();
+  (List.rev !log, !events)
+
+let prop_sim_ordering_law =
+  QCheck2.Test.make ~name:"ordering law: (key, seq) reference model"
+    ~count:500 ~print:print_world gen_world (fun (progs, untils) ->
+      let trace, events, within = sim_trace progs untils in
+      let mtrace, mevents = model_trace progs in
+      within && trace = mtrace && events = mevents)
 
 (* --- Mailbox ------------------------------------------------------------- *)
 
@@ -565,7 +825,16 @@ let () =
          Alcotest.test_case "determinism" `Quick test_sim_determinism;
          Alcotest.test_case "units" `Quick test_sim_units;
          Alcotest.test_case "delay_until" `Quick test_sim_delay_until;
-         Alcotest.test_case "obs counters" `Quick test_sim_obs_counters ]);
+         Alcotest.test_case "obs counters" `Quick test_sim_obs_counters;
+         Alcotest.test_case "wake at until" `Quick test_sim_wake_at_until;
+         Alcotest.test_case "wake past until" `Quick test_sim_wake_past_until;
+         Alcotest.test_case "equal-key wake via heap" `Quick
+           test_sim_equal_key_via_heap;
+         Alcotest.test_case "yield with same-instant event" `Quick
+           test_sim_yield_same_instant;
+         Alcotest.test_case "sharded inline wakes" `Quick
+           test_sim_sharded_inline;
+         qc prop_sim_ordering_law ]);
       ("mailbox",
        [ Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
          Alcotest.test_case "blocking wakeup" `Quick test_mailbox_blocking_wakeup;
