@@ -45,6 +45,12 @@ val null : h
     section 14). *)
 val begin_ : Sim.t -> op:string -> h
 
+(** [begin_prefixed sim ~prefix name] is [begin_ sim ~op:(prefix ^ name)]
+    with the op string built only while recording is on, so per-call
+    sites ([syscall/], [offload/], [mpi/]) concatenate nothing when
+    ledgers are off. *)
+val begin_prefixed : Sim.t -> prefix:string -> string -> h
+
 (** [mark sim h ~phase] attributes the time since the previous
     mark (or the begin) to [phase].  Zero-length segments are skipped,
     so an unconditional mark on a path that may not have consumed time

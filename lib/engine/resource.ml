@@ -39,9 +39,8 @@ let release r =
     resume ()
   | None -> r.in_use <- r.in_use - 1
 
-let use ?on_grant r ~work f =
+let use r ~work f =
   let _waited = acquire r in
-  (match on_grant with None -> () | Some g -> g ());
   let started = Sim.now r.sim in
   Sim.delay r.sim work;
   let finish () =
@@ -52,6 +51,36 @@ let use ?on_grant r ~work f =
   match f () with
   | v -> finish (); v
   | exception e -> finish (); raise e
+
+(* The continuation form of [use]: the same FIFO grant, the same float
+   sequence for [total_wait]/[total_busy] and the same event schedule,
+   with callbacks in place of a blocked process.  A queued waiter is a
+   thunk that schedules [granted] at the release instant on the shard
+   the waiter queued from — the event a suspended process's resume
+   makes — and the service hold is an [at] at the key [Sim.delay]
+   pushes. *)
+let use_k ?on_grant r ~work k =
+  let start = Sim.now r.sim in
+  let granted () =
+    r.total_wait <- r.total_wait +. (Sim.now r.sim -. start);
+    (match on_grant with None -> () | Some g -> g ());
+    let started = Sim.now r.sim in
+    Sim.at r.sim (started +. work) (fun () ->
+        r.total_busy <- r.total_busy +. (Sim.now r.sim -. started);
+        r.total_served <- r.total_served + 1;
+        release r;
+        k ())
+  in
+  if r.in_use < r.capacity then begin
+    r.in_use <- r.in_use + 1;
+    granted ()
+  end
+  else begin
+    let home = Sim.exec_shard r.sim in
+    Queue.add
+      (fun () -> Sim.at r.sim ~shard:home (Sim.now r.sim) granted)
+      r.pending
+  end
 
 let idle r = r.in_use = 0 && Queue.is_empty r.pending
 

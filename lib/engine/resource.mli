@@ -27,11 +27,20 @@ val release : t -> unit
 
 (** [use r ~work f] = acquire a server, [Sim.delay] for [work] ns, run [f]
     (non-blocking), release.  Returns [f ()]'s result and records the
-    service time.  [?on_grant] runs (non-blocking) at the instant the
-    server is granted, before the service delay — the sharded fabric
-    uses it to launch the next hop of a packet as soon as its link
-    grant time is known. *)
-val use : ?on_grant:(unit -> unit) -> t -> work:float -> (unit -> 'a) -> 'a
+    service time. *)
+val use : t -> work:float -> (unit -> 'a) -> 'a
+
+(** [use_k r ~work k] is [use] for callback code, with no process: take
+    a server (or queue FIFO behind process and callback users alike),
+    hold it [work] ns, release it, then run [k].  Same grant order,
+    statistics and event schedule as [use]: a queued caller is granted
+    by an event at the release instant on the shard it queued from,
+    and the hold ends with an event at [grant +. work].  [?on_grant]
+    runs (non-blocking) at the grant instant, before the hold — the
+    fabric's ordered hop walk schedules a packet's next hop from it.
+    [k] must not block. *)
+val use_k :
+  ?on_grant:(unit -> unit) -> t -> work:float -> (unit -> unit) -> unit
 
 (** True when no server is held and nobody is queued. *)
 val idle : t -> bool

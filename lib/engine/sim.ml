@@ -82,6 +82,7 @@ type t = {
   mutable current : string option;
   mutable running : bool; (* a process frame is on the stack *)
   mutable elided : int;
+  mutable spawned : int; (* processes spawned *)
   (* span tracing (empty unless Span.set_on true) *)
   mutable spans : span list; (* reverse begin order *)
   mutable dropped_spans : int; (* still-open spans discarded by take_spans *)
@@ -117,8 +118,8 @@ let make_shard sh_id =
 
 let create () =
   let sh = make_shard 0 in
-  { now = 0.; current = None; running = false; elided = 0; spans = [];
-    dropped_spans = 0; ledgers = []; steps = []; label = "";
+  { now = 0.; current = None; running = false; elided = 0; spawned = 0;
+    spans = []; dropped_spans = 0; ledgers = []; steps = []; label = "";
     shards = [| sh |]; cur = sh; ambient = sh; in_run = false;
     until = infinity; engaged = false; engage_req = false; lookahead = 0.;
     pair_bound = None; epoch_end = 0.; barrier_rounds = 0; epochs_elided = 0; xshard = 0 }
@@ -315,6 +316,7 @@ let handle_process t name f =
     }
 
 let spawn t ?(name = "proc") ?shard f =
+  t.spawned <- t.spawned + 1;
   schedule_to t (target t shard) ~tail:false t.now
     (Call (fun () -> handle_process t name f))
 
@@ -536,6 +538,8 @@ let cells_reused t = Array.fold_left (fun a sh -> a + sh.sh_reused) 0 t.shards
 
 let inline_wakes t = Array.fold_left (fun a sh -> a + sh.sh_inline) 0 t.shards
 
+let spawns t = t.spawned
+
 let shard_count t = if sharded t then Array.length t.shards else 0
 
 (* Shard id an event issued right now would land on by default; 0 when
@@ -556,10 +560,13 @@ let set_label t l = t.label <- l
 
 let label t = t.label
 
-let span_begin t ~cat ~name =
+let span_begin t ?track ~cat ~name () =
   let sp =
     { sp_cat = cat; sp_name = name;
-      sp_track = (match t.current with Some n -> n | None -> "<callback>");
+      sp_track =
+        (match track, t.current with
+         | Some n, _ | None, Some n -> n
+         | None, None -> "<callback>");
       sp_begin = t.now; sp_end = Float.nan; sp_args = [] }
   in
   t.spans <- sp :: t.spans;

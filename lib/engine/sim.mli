@@ -106,6 +106,10 @@ val cells_reused : t -> int
     push-then-pop it replaces. *)
 val inline_wakes : t -> int
 
+(** Number of processes {!spawn}ed so far — each one a fiber, unlike an
+    {!at} callback. *)
+val spawns : t -> int
+
 (** {2 Conservative event sharding}
 
     A fresh simulator is the one-shard case: a single heap that {!run}
@@ -183,8 +187,8 @@ val xshard_events : t -> int
 
     The simulator stores traced intervals; all recording policy (the
     global on/off flag, handles, JSON) lives in {!Span}.  A span is
-    keyed by {e simulated} time and tagged with the name of the process
-    that began it. *)
+    keyed by {e simulated} time and tagged with a track: the name of the
+    process that began it, or the one its callback code names. *)
 
 type span = {
   sp_cat : string;                       (** category, e.g. ["offload"] *)
@@ -195,10 +199,11 @@ type span = {
   mutable sp_args : (string * string) list;
 }
 
-(** [span_begin t ~cat ~name] opens a span at the current time and
-    appends it to the simulator's buffer.  Unconditional — callers go
-    through {!Span.begin_}, which performs the enabled check. *)
-val span_begin : t -> cat:string -> name:string -> span
+(** [span_begin t ~cat ~name ()] opens a span at the current time and
+    appends it to the simulator's buffer, on the track [?track] or else
+    the running process's name.  Unconditional — callers go through
+    {!Span.begin_}, which performs the enabled check. *)
+val span_begin : t -> ?track:string -> cat:string -> name:string -> unit -> span
 
 (** [span_end t ?args sp] closes [sp] at the current time.  Closing an
     already-closed span is a no-op (the first close wins). *)

@@ -11,8 +11,8 @@ type h = Sim.span option
 
 let null : h = None
 
-let begin_ sim ~cat ~name =
-  if !flag then Some (Sim.span_begin sim ~cat ~name) else None
+let begin_ ?track sim ~cat ~name =
+  if !flag then Some (Sim.span_begin sim ?track ~cat ~name ()) else None
 
 let end_ sim ?args h =
   match h with None -> () | Some sp -> Sim.span_end sim ?args sp

@@ -31,8 +31,10 @@ val null : h
 (** [begin_ sim ~cat ~name] opens a span at the current simulated time
     (category conventions: ["offload"], ["sdma"], ["pio"], ["lock"],
     ["syscall"], ["gup"], ["fault"], ["recovery"] — see DESIGN.md
-    section 9). *)
-val begin_ : Sim.t -> cat:string -> name:string -> h
+    section 9).  The span lands on the running process's track, or on
+    [?track] — how callback code with no process (the fabric's hop
+    walks) names its own. *)
+val begin_ : ?track:string -> Sim.t -> cat:string -> name:string -> h
 
 (** [end_ sim ?args h] closes the span at the current simulated time,
     attaching [args].  No-op on {!null} or an already-ended handle, so

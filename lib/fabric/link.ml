@@ -24,16 +24,17 @@ let tier l = l.tier
 
 let idle l = Resource.idle l.res
 
-let transit ?on_grant l ~bytes ~work =
+let transit ?on_grant l ~bytes ~work k =
   if not (Resource.idle l.res) then begin
     l.contended <- l.contended + 1;
     (* in service + already queued + the arriving packet *)
     let depth = Resource.in_use l.res + Resource.queue_length l.res + 1 in
     if depth > l.peak_queue then l.peak_queue <- depth
   end;
-  Resource.use ?on_grant l.res ~work (fun () -> ());
-  l.packets <- l.packets + 1;
-  l.bytes <- l.bytes + bytes
+  Resource.use_k ?on_grant l.res ~work (fun () ->
+      l.packets <- l.packets + 1;
+      l.bytes <- l.bytes + bytes;
+      k ())
 
 let packets l = l.packets
 

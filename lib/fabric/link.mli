@@ -18,12 +18,14 @@ val tier : t -> string
 (** True when nothing is transiting or queued. *)
 val idle : t -> bool
 
-(** [transit l ~bytes ~work] serialises one packet: blocks (FIFO) for
-    the link, holds it [work] ns, and books the counters.  Only
-    callable inside a simulation process.  [?on_grant] fires at the
-    instant the link is granted (see {!Resource.use}) — the sharded
+(** [transit l ~bytes ~work k] serialises one packet: queues (FIFO) for
+    the link, holds it [work] ns, books the counters, then runs [k] —
+    callback code, no process needed (see {!Resource.use_k}).
+    [?on_grant] fires at the instant the link is granted — the ordered
     hop walk schedules the packet's next hop from it. *)
-val transit : ?on_grant:(unit -> unit) -> t -> bytes:int -> work:float -> unit
+val transit :
+  ?on_grant:(unit -> unit) -> t -> bytes:int -> work:float ->
+  (unit -> unit) -> unit
 
 val packets : t -> int
 

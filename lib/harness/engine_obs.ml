@@ -9,6 +9,7 @@ type window = {
   mutable elided : int;
   mutable reused : int;
   mutable inline : int;
+  mutable spawns : int;
   mutable peak : int;
   mutable sims : int;
   (* Sharded-engine counters; all stay zero when sharding is off, and
@@ -30,7 +31,8 @@ type window = {
 let mutex = Mutex.create ()
 
 let win =
-  { events = 0; elided = 0; reused = 0; inline = 0; peak = 0; sims = 0;
+  { events = 0; elided = 0; reused = 0; inline = 0; spawns = 0; peak = 0;
+    sims = 0;
     sharded_sims = 0; shards = 0; barriers = 0; epochs_elided = 0;
     xshard = 0; shard_ev_min = max_int; shard_ev_max = 0;
     dropped_spans = 0; refused = 0 }
@@ -49,6 +51,7 @@ let note_world (cl : Cluster.t) =
      sum of high-water marks is not. *)
   let reused = Sim.cells_reused sim in
   let inline = Sim.inline_wakes sim in
+  let spawns = Sim.spawns sim in
   let peak = Sim.peak_heap_depth sim in
   let shard_ev = Sim.shard_events sim in
   Mutex.lock mutex;
@@ -56,6 +59,7 @@ let note_world (cl : Cluster.t) =
   win.elided <- win.elided + elided;
   win.reused <- win.reused + reused;
   win.inline <- win.inline + inline;
+  win.spawns <- win.spawns + spawns;
   if peak > win.peak then win.peak <- peak;
   win.sims <- win.sims + 1;
   win.dropped_spans <- win.dropped_spans + dropped;
@@ -87,6 +91,7 @@ let reset () =
   win.elided <- 0;
   win.reused <- 0;
   win.inline <- 0;
+  win.spawns <- 0;
   win.peak <- 0;
   win.sims <- 0;
   win.sharded_sims <- 0;
@@ -121,6 +126,7 @@ let measure ~figure f =
   Mutex.lock mutex;
   let events = win.events and elided = win.elided in
   let reused = win.reused and inline = win.inline in
+  let spawns = win.spawns in
   let peak = win.peak and sims = win.sims in
   let sharded_sims = win.sharded_sims and shards = win.shards in
   let barriers = win.barriers and epochs_elided = win.epochs_elided in
@@ -134,6 +140,7 @@ let measure ~figure f =
   Report.record ~figure ~metric:"engine/events_elided" (fi elided);
   Report.record ~figure ~metric:"engine/cells_reused" (fi reused);
   Report.record ~figure ~metric:"engine/inline_wakes" (fi inline);
+  Report.record ~figure ~metric:"engine/spawns" (fi spawns);
   Report.record ~figure ~metric:"engine/peak_heap" (fi peak);
   Report.record ~figure ~metric:"engine/sims" (fi sims);
   Report.record ~figure ~metric:"engine/host_seconds" host;

@@ -15,6 +15,8 @@
     - [engine/inline_wakes]: [delay] wake-ups that were the next event
       anyway, so the process continued without a heap round trip (still
       counted in [engine/events])
+    - [engine/spawns]: processes spawned, each on its own fiber (the
+      fabric's hop walks are callback chains and spawn none)
     - [engine/peak_heap]: deepest event queue over the figure's sims
     - [engine/sims]: number of simulated worlds
     - [engine/host_seconds]: host wall-clock for the figure

@@ -2,6 +2,7 @@ open Hw_import
 
 type t = {
   sim : Sim.t;
+  (* vector -> (handler process name, handler) *)
   handlers : (int, string * (unit -> unit)) Hashtbl.t;
   mutable service : Resource.t option;
   mutable dispatch_latency : float;
@@ -17,7 +18,8 @@ let set_service t r = t.service <- r
 let register t ~vector ~name handler =
   if Hashtbl.mem t.handlers vector then
     invalid_arg (Printf.sprintf "Irq.register: vector %d already taken" vector);
-  Hashtbl.add t.handlers vector (name, handler)
+  (* The handler process's name, built once here, not per interrupt. *)
+  Hashtbl.add t.handlers vector ("irq:" ^ name, handler)
 
 let unregister t ~vector = Hashtbl.remove t.handlers vector
 
@@ -27,9 +29,9 @@ let raise_irq t ~vector =
     (* Spurious interrupt: counted but otherwise ignored, as a kernel
        would log-and-drop. *)
     t.delivered <- t.delivered + 1
-  | Some (name, handler) ->
+  | Some (pname, handler) ->
     t.delivered <- t.delivered + 1;
-    Sim.spawn t.sim ~name:("irq:" ^ name) (fun () ->
+    Sim.spawn t.sim ~name:pname (fun () ->
         Sim.delay t.sim t.dispatch_latency;
         match t.service with
         | None -> handler ()

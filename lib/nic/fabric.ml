@@ -276,41 +276,58 @@ let deliver t rx (p : Wire.packet) =
    a batched train's closed form cannot see coming, so every registered
    train-abort hook fires before this packet queues (aborting is always
    semantics-preserving; firing on behalf of every node is conservative
-   but deterministic). *)
+   but deterministic).
+
+   The walk waits only on time and on FIFO link grants, so it runs as a
+   chain of event callbacks, not as a process.  Its (key, seq) schedule
+   is what every fat-tree result rests on: each wait is an [at] pushed
+   when and where the wait begins, the walk starts from an [at] at now,
+   and a queued grant is an event at the release instant
+   ({!Link.transit}).  A callback has no process name, so the spans
+   name their ["fabric"] track themselves. *)
+let rec walk_hops t rx (p : Wire.packet) (c : Costs.t) = function
+  | [] -> deliver t rx p
+  | hop :: rest ->
+    let link = link_of t hop in
+    Sim.at t.sim (Sim.now t.sim +. c.Costs.switch_latency) (fun () ->
+        (* Fault down window: park the packet on the link (never drop
+           it) until the window ends.  A dying link is contention a
+           batched train cannot see coming, so the hooks fire here
+           too. *)
+        match t.faults with
+        | None -> cross_link t rx p c link hop rest
+        | Some lf ->
+          (match Linkfault.down_at lf hop ~time:(Sim.now t.sim) with
+           | None -> cross_link t rx p c link hop rest
+           | Some u ->
+             let s = Sim.now t.sim in
+             Link.note_park link ~wait:(u -. s);
+             fire_aborts t;
+             let sp =
+               Span.begin_ ~track:"fabric" t.sim ~cat:"fabric"
+                 ~name:"link_down"
+             in
+             Sim.at t.sim u (fun () ->
+                 Span.end_with t.sim sp (fun () ->
+                     [ ("link", Link.name link) ]);
+                 cross_link t rx p c link hop rest)))
+
+and cross_link t rx (p : Wire.packet) c link hop rest =
+  if not (Link.idle link) then fire_aborts t;
+  let sp =
+    Span.begin_ ~track:"fabric" t.sim ~cat:"fabric" ~name:(Link.tier link)
+  in
+  let work = transit_work t link hop ~wire:(wire_time p.wire_len) in
+  Link.transit link ~bytes:p.wire_len ~work (fun () ->
+      Span.end_with t.sim sp (fun () ->
+          [ ("link", Link.name link); ("bytes", string_of_int p.wire_len) ]);
+      walk_hops t rx p c rest)
+
 let hop_walk t rx (p : Wire.packet) hops =
-  Sim.spawn t.sim ~name:"fabric" (fun () ->
+  Sim.at t.sim (Sim.now t.sim) (fun () ->
       let c = Costs.current () in
-      Sim.delay t.sim c.Costs.link_latency;
-      List.iter
-        (fun hop ->
-          let link = link_of t hop in
-          Sim.delay t.sim c.Costs.switch_latency;
-          (* Fault down window: park the packet on the link (never drop
-             it) until the window ends.  A dying link is contention a
-             batched train cannot see coming, so the hooks fire here
-             too. *)
-          (match t.faults with
-           | None -> ()
-           | Some lf ->
-             (match Linkfault.down_at lf hop ~time:(Sim.now t.sim) with
-              | None -> ()
-              | Some u ->
-                let s = Sim.now t.sim in
-                Link.note_park link ~wait:(u -. s);
-                fire_aborts t;
-                let sp = Span.begin_ t.sim ~cat:"fabric" ~name:"link_down" in
-                Sim.delay_until t.sim u;
-                Span.end_with t.sim sp (fun () ->
-                    [ ("link", Link.name link) ])));
-          if not (Link.idle link) then fire_aborts t;
-          let sp = Span.begin_ t.sim ~cat:"fabric" ~name:(Link.tier link) in
-          let work = transit_work t link hop ~wire:(wire_time p.wire_len) in
-          Link.transit link ~bytes:p.wire_len ~work;
-          Span.end_with t.sim sp (fun () ->
-              [ ("link", Link.name link);
-                ("bytes", string_of_int p.wire_len) ]))
-        hops;
-      deliver t rx p)
+      Sim.at t.sim (Sim.now t.sim +. c.Costs.link_latency) (fun () ->
+          walk_hops t rx p c hops))
 
 (* Buffer one ordered arrival into the destination's same-instant batch;
    must run at the arrival instant on the destination's shard.  The
@@ -343,8 +360,8 @@ let buffer_arrival t rx (p : Wire.packet) ord =
    order) — the event queue's own tie-break is insertion order
    unsharded but barrier-merge order sharded, and FIFO link grants (who
    waits, and the order the busy-time floats accumulate in) must not
-   depend on it.  The flush queues an arbitration process per packet,
-   in batch order; FIFO then grants in that order.  At the instant the
+   depend on it.  The flush queues an arbitration event per packet, in
+   batch order; FIFO then grants in that order.  At the instant the
    link is {e granted} (not when service completes) the packet's next
    step is scheduled at [(grant +. wire) +. switch_latency] — exactly
    the instant the legacy walk reaches the next hop's arbitration — so
@@ -395,25 +412,33 @@ and arbitrate t hop (p : Wire.packet) rx ord rest =
         Span.end_with t.sim sp (fun () -> [ ("link", Link.name link) ]);
         hop_step t p rx ord (hop :: rest))
   | None ->
-    Sim.spawn t.sim ~name:"fabric" (fun () ->
+    (* Arbitrate from an event at now, not inline: its (key, seq) slot
+       orders it against the instant's other events. *)
+    Sim.at t.sim (Sim.now t.sim) (fun () ->
         let link = link_of t hop in
         if not (Link.idle link) then schedule_aborts t;
-        let sp = Span.begin_ t.sim ~cat:"fabric" ~name:(Link.tier link) in
+        let sp =
+          Span.begin_ ~track:"fabric" t.sim ~cat:"fabric" ~name:(Link.tier link)
+        in
         let wire = transit_work t link hop ~wire:(wire_time p.wire_len) in
-        (match rest with
-         | [] ->
-           Link.transit link ~bytes:p.wire_len ~work:wire;
-           buffer_arrival t rx p ord
-         | next :: _ ->
-           let sm = Option.get t.shardmap in
-           let sw = (Costs.current ()).Costs.switch_latency in
-           Link.transit link ~bytes:p.wire_len ~work:wire
-             ~on_grant:(fun () ->
-               let step = (Sim.now t.sim +. wire) +. sw in
-               Sim.at t.sim ~shard:(Shardmap.owner sm next) step (fun () ->
-                   hop_step t p rx ord rest)));
-        Span.end_with t.sim sp (fun () ->
-            [ ("link", Link.name link); ("bytes", string_of_int p.wire_len) ]))
+        let end_span () =
+          Span.end_with t.sim sp (fun () ->
+              [ ("link", Link.name link); ("bytes", string_of_int p.wire_len) ])
+        in
+        match rest with
+        | [] ->
+          Link.transit link ~bytes:p.wire_len ~work:wire (fun () ->
+              buffer_arrival t rx p ord;
+              end_span ())
+        | next :: _ ->
+          let sm = Option.get t.shardmap in
+          let sw = (Costs.current ()).Costs.switch_latency in
+          Link.transit link ~bytes:p.wire_len ~work:wire
+            ~on_grant:(fun () ->
+              let step = (Sim.now t.sim +. wire) +. sw in
+              Sim.at t.sim ~shard:(Shardmap.owner sm next) step (fun () ->
+                  hop_step t p rx ord rest))
+            end_span)
 
 (* Flat worlds instantiate no links (invariant), so their faults live on
    per-node ingress pseudo-links: corrupt-and-replay adds one wire time

@@ -36,13 +36,16 @@ echo "== dune runtest =="
 dune runtest
 
 # The benchmark harness must still build from this checkout and pass its
-# own output checks on the smallest workload.
-echo "== simbench smoke: pingpong =="
-if ! sh simbench/run.sh --workload pingpong --seed 1 --seconds 1 --trace 0 \
-    | tail -n 1 | grep -q '"correct": true'; then
-  echo "FAIL: simbench pingpong did not report correct results" >&2
-  exit 1
-fi
+# own output checks on the smallest flat workload and on the fat-tree one,
+# whose packets take the store-and-forward hop walk.
+for workload in pingpong serve_ft; do
+  echo "== simbench smoke: $workload =="
+  if ! sh simbench/run.sh --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1 | grep -q '"correct": true'; then
+    echo "FAIL: simbench $workload did not report correct results" >&2
+    exit 1
+  fi
+done
 
 echo "== determinism: picobench all -s quick, jobs=1 vs jobs=$jobs =="
 seq_out="$(mktemp)"

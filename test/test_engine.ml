@@ -700,6 +700,159 @@ let test_resource_exception_releases () =
       Alcotest.(check int) "released" 0 (Resource.in_use r));
   ignore (Sim.run sim)
 
+(* --- Resource: continuation form --------------------------------------- *)
+
+(* Process [use] callers and callback [use_k] callers queue in one FIFO:
+   whatever form a user takes, the grant order is arrival order. *)
+let test_resource_mixed_fifo () =
+  let sim = Sim.create () in
+  let r = Resource.create sim ~name:"r" ~capacity:1 in
+  let done_ = ref [] in
+  let finish who = done_ := (who, Sim.now sim) :: !done_ in
+  Sim.spawn sim (fun () ->
+      Resource.use r ~work:10. (fun () -> ());
+      finish "p0");
+  Sim.at sim 1. (fun () -> Resource.use_k r ~work:10. (fun () -> finish "k1"));
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 2.;
+      Resource.use r ~work:10. (fun () -> ());
+      finish "p2");
+  Sim.at sim 3. (fun () -> Resource.use_k r ~work:10. (fun () -> finish "k3"));
+  ignore (Sim.run sim);
+  Alcotest.(check (list (pair string (float 0.))))
+    "arrival order"
+    [ ("p0", 10.); ("k1", 20.); ("p2", 30.); ("k3", 40.) ]
+    (List.rev !done_);
+  Alcotest.(check int) "served" 4 (Resource.total_served r);
+  check_float "waits" (9. +. 18. +. 27.) (Resource.total_wait_ns r);
+  check_float "busy" 40. (Resource.total_busy_ns r);
+  Alcotest.(check bool) "idle" true (Resource.idle r);
+  Alcotest.(check int) "callback users spawn nothing" 2 (Sim.spawns sim)
+
+(* A release and a new arrival at the same instant: the server passes
+   straight to the queued waiter, so the newcomer queues behind it
+   whichever of the two same-instant events runs first. *)
+let test_resource_release_meets_arrival () =
+  List.iter
+    (fun arrival_first ->
+      let sim = Sim.create () in
+      let r = Resource.create sim ~name:"r" ~capacity:1 in
+      let granted = ref [] in
+      let use who =
+        Resource.use_k r ~work:10.
+          ~on_grant:(fun () -> granted := (who, Sim.now sim) :: !granted)
+          (fun () -> ())
+      in
+      (* At instant 10 an arrival pushed before the holder's release
+         event (both at set-up) runs first; one pushed at 5 runs after
+         it. *)
+      if arrival_first then Sim.at sim 10. (fun () -> use "new");
+      use "holder";
+      Sim.at sim 1. (fun () -> use "waiter");
+      if not arrival_first then
+        Sim.at sim 5. (fun () -> Sim.at sim 10. (fun () -> use "new"));
+      ignore (Sim.run sim);
+      Alcotest.(check (list (pair string (float 0.))))
+        "grants" [ ("holder", 0.); ("waiter", 10.); ("new", 20.) ]
+        (List.rev !granted);
+      check_float "waits" (9. +. 10.) (Resource.total_wait_ns r);
+      Alcotest.(check int) "served" 3 (Resource.total_served r))
+    [ true; false ]
+
+(* [on_grant] runs at the grant instant — immediately when the server is
+   free, at the release instant when queued — and before the hold.  A
+   queued grant is an event, so it follows the releaser's own
+   continuation, as a resumed process would. *)
+let test_resource_on_grant_instant () =
+  let sim = Sim.create () in
+  let r = Resource.create sim ~name:"r" ~capacity:1 in
+  let log = ref [] in
+  let note what = log := (what, Sim.now sim) :: !log in
+  let use who work =
+    Resource.use_k r ~work
+      ~on_grant:(fun () -> note (who ^ " granted"))
+      (fun () -> note (who ^ " done"))
+  in
+  Sim.at sim 2. (fun () -> use "a" 5.);
+  Sim.at sim 3. (fun () -> use "b" 4.);
+  ignore (Sim.run sim);
+  Alcotest.(check (list (pair string (float 0.))))
+    "log"
+    [ ("a granted", 2.); ("a done", 7.); ("b granted", 7.);
+      ("b done", 11.) ]
+    (List.rev !log)
+
+(* Under sharding a queued waiter is granted on the shard it queued
+   from, whichever shard releases — for callback users as for the
+   processes whose resume lands on their home shard. *)
+let test_resource_home_shard () =
+  let sim = Sim.create () in
+  Sim.shard_init sim ~shards:2 ~lookahead:100. ();
+  let r = Resource.create sim ~name:"r" ~capacity:1 in
+  let seen = ref [] in
+  let note what = seen := (what, Sim.exec_shard sim, Sim.now sim) :: !seen in
+  Sim.at sim ~shard:0 0. (fun () ->
+      Resource.use_k r ~work:10. (fun () -> note "holder done"));
+  Sim.at sim ~shard:1 1. (fun () ->
+      Resource.use_k r ~work:10.
+        ~on_grant:(fun () -> note "callback granted")
+        (fun () -> note "callback done"));
+  Sim.spawn sim ~shard:1 (fun () ->
+      Sim.delay sim 2.;
+      Resource.use r ~work:10. (fun () -> ());
+      note "process done");
+  ignore (Sim.run sim);
+  Alcotest.(check (list (triple string int (float 0.))))
+    "home shards"
+    [ ("holder done", 0, 10.); ("callback granted", 1, 10.);
+      ("callback done", 1, 20.); ("process done", 1, 30.) ]
+    (List.rev !seen)
+
+(* The continuation law: a random arrival schedule, each user taking the
+   process or the callback form at random, yields the same (grant,
+   finish) trace and bit-identical wait/busy/served statistics as the
+   all-process and all-callback runs.  Every user starts from an event
+   at 0 that schedules its arrival, so both forms enter the queue in the
+   same same-instant order; integer-valued times keep [finish -. work]
+   exact, which is how a process user's grant is read. *)
+let resource_trace ~capacity users form =
+  let sim = Sim.create () in
+  let r = Resource.create sim ~name:"r" ~capacity in
+  let trace = ref [] in
+  List.iteri
+    (fun i (arrival, work) ->
+      let arrival = float_of_int arrival and work = float_of_int work in
+      if form i then
+        Sim.spawn sim (fun () ->
+            Sim.delay_until sim arrival;
+            Resource.use r ~work (fun () -> ());
+            trace := (i, Sim.now sim -. work, Sim.now sim) :: !trace)
+      else
+        Sim.at sim 0. (fun () ->
+            Sim.at sim arrival (fun () ->
+                let grant = ref nan in
+                Resource.use_k r ~work
+                  ~on_grant:(fun () -> grant := Sim.now sim)
+                  (fun () -> trace := (i, !grant, Sim.now sim) :: !trace))))
+    users;
+  ignore (Sim.run sim);
+  ( List.sort compare !trace,
+    Int64.bits_of_float (Resource.total_wait_ns r),
+    Int64.bits_of_float (Resource.total_busy_ns r),
+    Resource.total_served r )
+
+let prop_resource_forms_agree =
+  QCheck2.Test.make ~name:"use = use_k: same grants, finishes and stats"
+    ~count:300
+    QCheck2.Gen.(
+      triple (int_range 1 3)
+        (list_size (int_range 1 12) (pair (int_range 0 40) (int_range 1 15)))
+        (list_size (return 12) bool))
+    (fun (capacity, users, mix) ->
+      let procs = resource_trace ~capacity users (fun _ -> true) in
+      procs = resource_trace ~capacity users (fun _ -> false)
+      && procs = resource_trace ~capacity users (List.nth mix))
+
 let test_resource_bad_capacity () =
   let sim = Sim.create () in
   Alcotest.check_raises "zero capacity"
@@ -850,7 +1003,16 @@ let () =
          Alcotest.test_case "capacity" `Quick test_resource_capacity;
          Alcotest.test_case "stats" `Quick test_resource_stats;
          Alcotest.test_case "exception releases" `Quick test_resource_exception_releases;
-         Alcotest.test_case "bad capacity" `Quick test_resource_bad_capacity ]);
+         Alcotest.test_case "bad capacity" `Quick test_resource_bad_capacity;
+         Alcotest.test_case "use/use_k share one fifo" `Quick
+           test_resource_mixed_fifo;
+         Alcotest.test_case "release meets arrival" `Quick
+           test_resource_release_meets_arrival;
+         Alcotest.test_case "on_grant at the grant instant" `Quick
+           test_resource_on_grant_instant;
+         Alcotest.test_case "waiters granted on home shard" `Quick
+           test_resource_home_shard;
+         qc prop_resource_forms_agree ]);
       ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "split" `Quick test_rng_split_independent;

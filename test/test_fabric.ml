@@ -8,6 +8,7 @@ module Topology = Pico_fabric.Topology
 module Route = Pico_fabric.Route
 module Link = Pico_fabric.Link
 module Sim = Pico_engine.Sim
+module Span = Pico_engine.Span
 module Node = Pico_hw.Node
 module Costs = Pico_costs.Costs
 
@@ -337,6 +338,59 @@ let test_contention_counters () =
       (t2 -. t1 >= wire *. 0.999)
   | _ -> Alcotest.fail "expected two arrivals"
 
+(* Three same-instant callback transits on one link: FIFO grants
+   (reported by [on_grant]), finishes one [work] apart, and the
+   congestion counters. *)
+let test_link_transit_callbacks () =
+  let sim = Sim.create () in
+  let l = Link.create sim ~name:"l0->s0" ~tier:"up" in
+  let log = ref [] in
+  let note what = log := (what, Sim.now sim) :: !log in
+  for i = 1 to 3 do
+    Link.transit l ~bytes:(100 * i) ~work:10.
+      ~on_grant:(fun () -> note (Printf.sprintf "grant %d" i))
+      (fun () -> note (Printf.sprintf "done %d" i))
+  done;
+  Alcotest.(check bool) "busy while queued" false (Link.idle l);
+  ignore (Sim.run sim);
+  Alcotest.(check (list (pair string (float 0.))))
+    "grants and finishes"
+    [ ("grant 1", 0.); ("done 1", 10.); ("grant 2", 10.); ("done 2", 20.);
+      ("grant 3", 20.); ("done 3", 30.) ]
+    (List.rev !log);
+  Alcotest.(check int) "packets" 3 (Link.packets l);
+  Alcotest.(check int) "bytes" 600 (Link.bytes l);
+  Alcotest.(check int) "contended" 2 (Link.contended l);
+  Alcotest.(check int) "peak queue" 3 (Link.peak_queue l);
+  check_float "busy" 30. (Link.busy_ns l);
+  Alcotest.(check bool) "idle after" true (Link.idle l)
+
+(* Both fat-tree walks are event chains: crossing the tree spawns no
+   process, and their spans keep the ["fabric"] track all the same. *)
+let test_fat_tree_walk_spawns_nothing () =
+  List.iter
+    (fun engine ->
+      let sim = Sim.create () in
+      let f = Fabric.create ~topology:(ft ~radix:2 ~oversub:1) ~engine sim in
+      let got = ref 0 in
+      Fabric.attach f ~node_id:0 ~rx:(fun _ -> ());
+      Fabric.attach f ~node_id:1 ~rx:(fun _ -> ());
+      Fabric.attach f ~node_id:3 ~rx:(fun _ -> incr got);
+      Span.set_on true;
+      let spans =
+        Fun.protect ~finally:(fun () -> Span.set_on false) (fun () ->
+            Fabric.send f (mk_packet ~src:0 ~dst:3 ~len:4096 ());
+            Fabric.send f (mk_packet ~src:1 ~dst:3 ~len:4096 ());
+            ignore (Sim.run sim);
+            Span.drain sim)
+      in
+      Alcotest.(check int) "delivered" 2 !got;
+      Alcotest.(check int) "no process spawned" 0 (Sim.spawns sim);
+      Alcotest.(check int) "one span per hop" 6 (List.length spans);
+      Alcotest.(check (list string)) "fabric track" [ "fabric" ]
+        (List.sort_uniq compare (List.map (fun sp -> sp.Sim.sp_track) spans)))
+    [ Fabric.Calibrated; Fabric.Ordered ]
+
 let test_flat_has_no_links () =
   let sim = Sim.create () in
   let f = Fabric.create sim in
@@ -420,4 +474,8 @@ let () =
          Alcotest.test_case "contention counters" `Quick
            test_contention_counters;
          Alcotest.test_case "flat has no links" `Quick test_flat_has_no_links;
+         Alcotest.test_case "link transit callbacks" `Quick
+           test_link_transit_callbacks;
+         Alcotest.test_case "fat-tree walk spawns nothing" `Quick
+           test_fat_tree_walk_spawns_nothing;
          qc conservation_law ]) ]

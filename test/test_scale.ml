@@ -507,6 +507,30 @@ let pinned_serve kind =
     out;
   pinned_digest cl res (Buffer.contents b)
 
+(* The default engine's store-and-forward walk with link faults armed
+   on a 2:1 fat-tree: packets park on down links, corrupt transmissions
+   replay, and failover routing re-hashes around dead spines — all three
+   must actually happen, or the digest pins nothing of the fault path. *)
+let pinned_ft_faults kind =
+  with_faults ~links:true false @@ fun () ->
+  Costs.with_patched (fun c -> c.Costs.fault_link_corrupt <- 2.0e-2)
+  @@ fun () ->
+  let cl =
+    Cluster.build kind ~n_nodes:8
+      ~topology:(Topology.Fat_tree { radix = 4; oversub = 2 })
+      ()
+  in
+  Fault.install cl;
+  let res = Experiment.run cl ~ranks_per_node:2 xchg_app in
+  let fs = Fabric.fault_stats cl.Cluster.fabric in
+  Alcotest.(check bool) "packets parked on down links" true
+    (fs.Fabric.fs_parks > 0);
+  Alcotest.(check bool) "corrupt transmissions replayed" true
+    (fs.Fabric.fs_replays > 0);
+  Alcotest.(check bool) "routes re-hashed around dead links" true
+    (fs.Fabric.fs_reroutes > 0);
+  pinned_digest cl res ""
+
 let pinned =
   [ (("pingpong", "linux"), "4c73acd14fc9e5942bed240ca1729bb4");
     (("pingpong", "mck"), "1f9e867eed54d0d7f1a497838cde37b6");
@@ -516,7 +540,10 @@ let pinned =
     (("umt", "hfi"), "c157ce86b3dd0560e1b97f2aee123f1d");
     (("serve_ft", "linux"), "c60daa782b81841d0a796d8b9a2efd08");
     (("serve_ft", "mck"), "26cf59457f2aea5fea5b4dcc9232ab0a");
-    (("serve_ft", "hfi"), "5218490838b6fa7115e903dd1610b64f") ]
+    (("serve_ft", "hfi"), "5218490838b6fa7115e903dd1610b64f");
+    (("faulted_ft", "linux"), "350009b16e70516ab643f72516a1cc32");
+    (("faulted_ft", "mck"), "a930b23e0f5bfd3d39412ec67fe60098");
+    (("faulted_ft", "hfi"), "62f5b47295c6b5d19e01f8bce755c51b") ]
 
 let pinned_cases =
   List.concat_map
@@ -530,7 +557,7 @@ let pinned_cases =
         [ ("linux", Cluster.Linux); ("mck", Cluster.Mckernel);
           ("hfi", Cluster.Mckernel_hfi) ])
     [ ("pingpong", pinned_pingpong); ("umt", pinned_umt);
-      ("serve_ft", pinned_serve) ]
+      ("serve_ft", pinned_serve); ("faulted_ft", pinned_ft_faults) ]
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
